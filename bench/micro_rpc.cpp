@@ -115,17 +115,8 @@ struct Config {
   std::size_t connections = 0;  // total open channels; 0 = 2 per client
   std::size_t inflight = 1;     // requester threads per client process
   std::size_t pipeline = 0;     // outstanding per connection; 0 = off
-  // Client-side read-buffer size (library channels and the raw
-  // pipelined driver); 0 = legacy unbuffered frame assembly.
-  std::size_t read_chunk = corec::rpc::kDefaultReadChunkBytes;
   std::uint64_t seed = 42;
 };
-
-corec::rpc::FrameAssemblerOptions assembler_options(const Config& cfg) {
-  corec::rpc::FrameAssemblerOptions fa;
-  fa.read_chunk_bytes = cfg.read_chunk;
-  return fa;
-}
 
 std::size_t conns_per_child(const Config& cfg) {
   return cfg.connections > 0
@@ -258,7 +249,6 @@ int run_pipelined_child(const Config& cfg, std::size_t child,
     copts.pool_size = 1;
     copts.max_retries = 2;
     copts.retry_backoff_ms = 1;
-    copts.read_chunk_bytes = cfg.read_chunk;
     Client seeder(copts);
     for (int e = 0; e < kEntities; ++e) {
       if (!seeder
@@ -281,7 +271,6 @@ int run_pipelined_child(const Config& cfg, std::size_t child,
       return 1;
     }
     conns[i].fd = std::move(*fd);
-    conns[i].assembler = corec::rpc::FrameAssembler(assembler_options(cfg));
     (void)corec::rpc::set_nonblocking(conns[i].fd.get());
   }
 
@@ -425,7 +414,6 @@ int run_child(const Config& cfg, std::size_t child, ChildResult* out) {
           : 2;
   copts.max_retries = 2;
   copts.retry_backoff_ms = 1;
-  copts.read_chunk_bytes = cfg.read_chunk;
   Client client(copts);
   if (!client.ping().ok()) {
     out->errors += 1;
@@ -463,7 +451,7 @@ void usage() {
                "usage: micro_rpc --port P [--host H] [--clients N] "
                "[--seconds S] [--mix put|get|mixed] [--bytes B] "
                "[--rate OPS] [--connections N] [--inflight M] "
-               "[--pipeline D] [--read-chunk B] [--seed N]\n");
+               "[--pipeline D] [--seed N]\n");
 }
 
 }  // namespace
@@ -499,8 +487,6 @@ int main(int argc, char** argv) {
       cfg.inflight = static_cast<std::size_t>(std::atol(next()));
     } else if (a == "--pipeline") {
       cfg.pipeline = static_cast<std::size_t>(std::atol(next()));
-    } else if (a == "--read-chunk") {
-      cfg.read_chunk = static_cast<std::size_t>(std::atoll(next()));
     } else if (a == "--seed") {
       cfg.seed = std::strtoull(next(), nullptr, 10);
     } else {
@@ -560,6 +546,8 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t pool_per_client = conns_per_child(cfg);
+  // "read_chunk" stays in the record (BENCH_rpc.json consumers read it);
+  // every client reads through the default pooled buffer size.
   std::printf(
       "{\"mix\":\"%s\",\"clients\":%zu,\"connections\":%zu,"
       "\"inflight\":%zu,\"pipeline\":%zu,\"read_chunk\":%zu,"
@@ -570,7 +558,8 @@ int main(int argc, char** argv) {
       "\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f,"
       "\"max_us\":%llu}\n",
       cfg.mix.c_str(), cfg.clients, pool_per_client * cfg.clients,
-      cfg.inflight, cfg.pipeline, cfg.read_chunk, wall, cfg.payload_bytes,
+      cfg.inflight, cfg.pipeline, corec::rpc::kDefaultReadChunkBytes, wall,
+      cfg.payload_bytes,
       cfg.rate,
       static_cast<unsigned long long>(ops),
       static_cast<unsigned long long>(errors),

@@ -75,12 +75,11 @@ PayloadMetrics& payload_metrics();
 /// claimed tags from the wire never seed it.
 ///
 /// Thread-safety: the refcount and generation are atomic, so distinct
-/// views may be copied/read concurrently (ParallelCoder workers read
+/// views may be copied/read concurrently (BatchedEncoder workers read
 /// shared views). Mutating a view, or calling crc32c() on the *same*
 /// view from two threads, requires external synchronization — the
-/// simulator is single-threaded, and the concurrent stores
-/// (ConcurrentStore, ShardedObjectStore) hold their (per-shard)
-/// writer lock across mutations, which satisfies this.
+/// simulator is single-threaded, and ShardedObjectStore holds its
+/// per-shard writer lock across mutations, which satisfies this.
 class PayloadBuffer {
  public:
   PayloadBuffer() = default;

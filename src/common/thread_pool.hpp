@@ -1,6 +1,6 @@
 // Fixed-size worker pool. Backs the ThreadFabric's async dispatch
-// (src/staging/thread_fabric.hpp), the parallel erasure coder, and
-// parallel encode sweeps in benches.
+// (src/staging/thread_fabric.hpp), the batched encoder's stripe
+// preparation, and parallel encode sweeps in benches.
 #pragma once
 
 #include <condition_variable>

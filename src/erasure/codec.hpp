@@ -1,7 +1,6 @@
 // Erasure codec interface. A codec turns k equal-size data blocks into
 // m parity blocks and can reconstruct any missing blocks as long as at
-// least k of the k+m survive (MDS property; the XOR baseline tolerates
-// exactly one loss).
+// least k of the k+m survive (MDS property).
 #pragma once
 
 #include <cstddef>
@@ -14,7 +13,7 @@
 
 namespace corec::erasure {
 
-/// Shared erasure-codec interface (Reed-Solomon, XOR, ...).
+/// Erasure-codec interface; make_reed_solomon() is the implementation.
 class Codec {
  public:
   virtual ~Codec() = default;
@@ -48,8 +47,8 @@ class Codec {
   }
 
   /// Pointer-based primitives behind encode()/decode(). Callers that
-  /// manage their own span scratch (ParallelCoder slices one stripe
-  /// into many sub-stripes) use these directly to avoid materializing
+  /// manage their own span scratch (the stripe encoder in
+  /// resilience/primitives) use these directly to avoid materializing
   /// a std::vector per call.
   virtual Status encode_view(const ByteSpan* data, std::size_t nd,
                              const MutableByteSpan* parity,
@@ -94,8 +93,5 @@ enum class RsConstruction { kVandermonde, kCauchy };
 StatusOr<std::unique_ptr<Codec>> make_reed_solomon(
     std::size_t k, std::size_t m,
     RsConstruction construction = RsConstruction::kVandermonde);
-
-/// Creates the single-parity XOR codec (RAID-5 style; m == 1).
-std::unique_ptr<Codec> make_xor(std::size_t k);
 
 }  // namespace corec::erasure

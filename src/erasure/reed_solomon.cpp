@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstring>
 #include <sstream>
 
@@ -188,95 +187,6 @@ class ReedSolomonCodec final : public Codec {
   RsConstruction construction_;
 };
 
-/// Single-parity XOR codec: parity = XOR of all data blocks. Tolerates
-/// exactly one erasure; used as a cheap baseline and for tests.
-class XorCodec final : public Codec {
- public:
-  explicit XorCodec(std::size_t k) : k_(k) {}
-
-  std::size_t k() const override { return k_; }
-  std::size_t m() const override { return 1; }
-  std::string name() const override {
-    return "xor(" + std::to_string(k_) + ",1)";
-  }
-
-  Status encode_view(const ByteSpan* data, std::size_t nd,
-                     const MutableByteSpan* parity,
-                     std::size_t np) const override {
-    if (nd != k_ || np != 1) {
-      return Status::InvalidArgument("xor encode: block counts");
-    }
-    for (std::size_t i = 0; i < nd; ++i) {
-      if (data[i].size() != parity[0].size()) {
-        return Status::InvalidArgument("xor encode: size mismatch");
-      }
-    }
-    if (parity[0].empty()) return Status::Ok();
-    // Seed parity with the first block, then accumulate the rest —
-    // skips the separate zero-fill pass.
-    std::memcpy(parity[0].data(), data[0].data(), parity[0].size());
-    for (std::size_t i = 1; i < nd; ++i) {
-      gf::region_xor(data[i], parity[0]);
-    }
-    return Status::Ok();
-  }
-
-  Status encode_partial_view(const ByteSpan* data, std::size_t first,
-                             std::size_t count,
-                             const MutableByteSpan* parity, std::size_t np,
-                             bool accumulate) const override {
-    if (count == 0 || first >= k_ || count > k_ - first || np != 1) {
-      return Status::InvalidArgument("xor partial encode: block range");
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      if (data[i].size() != parity[0].size()) {
-        return Status::InvalidArgument("xor partial encode: size mismatch");
-      }
-    }
-    if (parity[0].empty()) return Status::Ok();
-    std::size_t i = 0;
-    if (!accumulate) {
-      std::memcpy(parity[0].data(), data[0].data(), parity[0].size());
-      i = 1;
-    }
-    for (; i < count; ++i) gf::region_xor(data[i], parity[0]);
-    return Status::Ok();
-  }
-
-  Status decode_view(const MutableByteSpan* blocks, std::size_t nb,
-                     const std::size_t* erased,
-                     std::size_t ne) const override {
-    if (nb != k_ + 1) {
-      return Status::InvalidArgument("xor decode: expected n blocks");
-    }
-    if (ne > 1) {
-      return Status::DataLoss("xor tolerates one erasure");
-    }
-    if (ne == 0) return Status::Ok();
-    std::size_t e = erased[0];
-    if (e >= nb) return Status::InvalidArgument("erased index range");
-    std::fill(blocks[e].begin(), blocks[e].end(), 0);
-    for (std::size_t i = 0; i < nb; ++i) {
-      if (i == e) continue;
-      gf::region_xor(blocks[i], blocks[e]);
-    }
-    return Status::Ok();
-  }
-
-  Status update_parity(std::size_t index, ByteSpan delta,
-                       const std::vector<MutableByteSpan>& parity)
-      const override {
-    if (index >= k_ || parity.size() != 1) {
-      return Status::InvalidArgument("xor update_parity: arguments");
-    }
-    gf::region_xor(delta, parity[0]);
-    return Status::Ok();
-  }
-
- private:
-  std::size_t k_;
-};
-
 }  // namespace
 
 StatusOr<std::unique_ptr<Codec>> make_reed_solomon(
@@ -303,11 +213,6 @@ StatusOr<std::unique_ptr<Codec>> make_reed_solomon(
   }
   return std::unique_ptr<Codec>(new ReedSolomonCodec(
       k, m, std::move(gen), construction));
-}
-
-std::unique_ptr<Codec> make_xor(std::size_t k) {
-  assert(k >= 1);
-  return std::make_unique<XorCodec>(k);
 }
 
 }  // namespace corec::erasure

@@ -41,11 +41,6 @@ struct ClientOptions {
   /// First backoff; doubles per retry.
   int retry_backoff_ms = 5;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Per-channel pooled read-buffer size for buffered frame receive;
-  /// 0 selects the legacy unbuffered assembler (parity baseline).
-  std::size_t read_chunk_bytes = kDefaultReadChunkBytes;
-  /// Largest response body assembled in place inside the read buffer.
-  std::size_t inline_body_cutover = kDefaultInlineBodyCutover;
   /// Workers backing the async_* API (lazily started).
   std::size_t async_threads = 2;
 };

@@ -1,5 +1,6 @@
 #include "rpc/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -45,25 +46,15 @@ StatusOr<FrameHeader> decode_frame_header(ByteSpan bytes,
 }
 
 FrameAssembler::FrameAssembler(FrameAssemblerOptions opts)
-    : opts_(opts), chunk_(opts.read_chunk_bytes) {
-  if (chunk_ > 0) {
-    cutover_ = opts_.inline_body_cutover;
-    if (cutover_ > opts_.max_body) cutover_ = opts_.max_body;
-    // Rotation carries over at most a partial header plus a partial
-    // inline body (< kFrameHeaderBytes + cutover_). Keep the chunk
-    // comfortably bigger so every rotation frees real tail space and
-    // tests may pick tiny chunks without wedging.
-    const std::size_t floor = 2 * kFrameHeaderBytes + cutover_ + 64;
-    if (chunk_ < floor) chunk_ = floor;
-  }
+    : opts_(opts),
+      chunk_(opts.read_chunk_bytes),
+      cutover_(std::min(opts.inline_body_cutover, opts.max_body)) {
+  // Rotation carries over at most a partial header plus a partial
+  // inline body (< kFrameHeaderBytes + cutover_). Keep the chunk
+  // comfortably bigger so every rotation frees real tail space and
+  // tests may pick tiny chunks without wedging.
+  chunk_ = std::max(chunk_, 2 * kFrameHeaderBytes + cutover_ + 64);
 }
-
-FrameAssembler::FrameAssembler(std::size_t max_body)
-    : FrameAssembler([max_body] {
-        FrameAssemblerOptions o;
-        o.max_body = max_body;
-        return o;
-      }()) {}
 
 void FrameAssembler::ensure_buffer() {
   if (base_ == nullptr) {
@@ -100,13 +91,6 @@ void FrameAssembler::ensure_buffer() {
 
 MutableByteSpan FrameAssembler::next_span() {
   if (poisoned_) return {};
-  if (chunk_ == 0) {
-    if (ready_) return {};
-    if (!in_body_) {
-      return {header_bytes_ + have_, kFrameHeaderBytes - have_};
-    }
-    return {body_.data() + have_, body_.size() - have_};
-  }
   if (in_direct_) {
     return {direct_block_.data() + direct_have_,
             direct_header_.body_len - direct_have_};
@@ -166,7 +150,6 @@ Status FrameAssembler::advance(std::size_t n) {
   if (poisoned_) {
     return Status::FailedPrecondition("assembler poisoned");
   }
-  if (chunk_ == 0) return advance_legacy(n);
   if (in_direct_) {
     const std::size_t want = direct_header_.body_len - direct_have_;
     if (n > want) {
@@ -195,54 +178,10 @@ Status FrameAssembler::advance(std::size_t n) {
   return parse();
 }
 
-Status FrameAssembler::advance_legacy(std::size_t n) {
-  if (ready_ || n > next_span().size()) {
-    return Status::InvalidArgument("advance past frame boundary");
-  }
-  have_ += n;
-  if (!in_body_) {
-    if (have_ < kFrameHeaderBytes) return Status::Ok();
-    auto header = decode_frame_header({header_bytes_, kFrameHeaderBytes},
-                                      opts_.max_body);
-    if (!header.ok()) {
-      poisoned_ = true;
-      return header.status();
-    }
-    header_ = *header;
-    if (header_.body_len == 0) {
-      ready_ = true;
-      return Status::Ok();
-    }
-    body_.resize(header_.body_len);
-    in_body_ = true;
-    have_ = 0;
-    return Status::Ok();
-  }
-  if (have_ == body_.size()) ready_ = true;
-  return Status::Ok();
-}
-
 Frame FrameAssembler::take_frame() {
-  if (chunk_ > 0) {
-    Frame f = std::move(ready_frames_.front());
-    ready_frames_.pop_front();
-    return f;
-  }
-  Frame f;
-  f.header = header_;
-  // The body vector the socket read into becomes the frame's backing
-  // store directly — no copy between staging buffers.
-  f.body = PayloadBuffer::wrap(std::move(body_));
-  body_ = Bytes{};
-  have_ = 0;
-  in_body_ = false;
-  ready_ = false;
+  Frame f = std::move(ready_frames_.front());
+  ready_frames_.pop_front();
   return f;
-}
-
-bool FrameAssembler::mid_frame() const {
-  if (chunk_ == 0) return have_ > 0 && !ready_;
-  return in_direct_ || filled_ > parsed_;
 }
 
 }  // namespace corec::rpc

@@ -1,6 +1,5 @@
-// Sharded, lock-striped concurrent staging data plane. Replaces the
-// monolithic single-shared_mutex ConcurrentStore/ConcurrentDirectory
-// for real-thread deployments:
+// Sharded, lock-striped concurrent staging data plane for real-thread
+// deployments (one stripe is the single-lock configuration):
 //
 //   * ShardedObjectStore — N-way hash-sharded ObjectStores, one
 //     instrumented shared_mutex per shard. Operations on different

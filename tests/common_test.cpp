@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/buffer.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
@@ -235,6 +236,44 @@ TEST(Types, TimeConversions) {
   EXPECT_DOUBLE_EQ(to_seconds(2'000'000'000), 2.0);
   EXPECT_EQ(from_micros(2.5), 2500);
   EXPECT_DOUBLE_EQ(to_millis(3'000'000), 3.0);
+}
+
+TEST(Parse, UnsignedAcceptsWholeNumbersInRange) {
+  EXPECT_EQ(parse_uint("0").value(), 0u);
+  EXPECT_EQ(parse_uint("4464").value(), 4464u);
+  EXPECT_EQ(parse_uint("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_EQ(parse_uint("65535", 65535).value(), 65535u);
+}
+
+TEST(Parse, UnsignedRejectsMalformedInput) {
+  for (const char* bad : {"", "abc", "12x", "-1", "+1", " 1", "1 ", "0x10",
+                          "18446744073709551616"}) {
+    auto v = parse_uint(bad);
+    EXPECT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  }
+  // u16 overflow: --port 70000 must not wrap to 4464.
+  EXPECT_FALSE(parse_uint("70000", 65535).ok());
+  EXPECT_FALSE(parse_uint("65536", 65535).ok());
+}
+
+TEST(Parse, DoubleMustBeFiniteAndInRange) {
+  constexpr double kBig = 1e300;
+  EXPECT_DOUBLE_EQ(parse_double("0.67", 0.0, 1.0).value(), 0.67);
+  EXPECT_DOUBLE_EQ(parse_double("-2.5e3", -kBig, kBig).value(), -2500.0);
+  EXPECT_DOUBLE_EQ(parse_double("1", 0.0, 1.0).value(), 1.0);
+  for (const char* bad : {"", "abc", "1.5x", "nan", "NaN", "inf", "-inf",
+                          "1e999"}) {
+    EXPECT_FALSE(parse_double(bad, -kBig, kBig).ok()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_double("1.01", 0.0, 1.0).ok());
+  EXPECT_FALSE(parse_double("-0.1", 0.0, 1.0).ok());
+}
+
+TEST(Parse, ErrorNamesTheValue) {
+  auto v = parse_uint("12x");
+  ASSERT_FALSE(v.ok());
+  EXPECT_NE(v.status().message().find("'12x'"), std::string::npos);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Reed-Solomon and XOR codec behaviour: exhaustive erasure-pattern
+// Reed-Solomon codec behaviour: exhaustive erasure-pattern
 // recovery sweeps (the MDS property on real bytes), incremental parity
 // updates, and input validation.
 #include "erasure/codec.hpp"
@@ -194,58 +194,6 @@ TEST(RsCodec, MismatchedBlockSizesRejected) {
   std::vector<MutableByteSpan> parity{MutableByteSpan(p)};
   EXPECT_EQ(codec.encode(data, parity).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(XorCodec, SingleErasureRecovery) {
-  auto codec = make_xor(4);
-  Rng rng(11);
-  std::vector<Bytes> blocks;
-  for (int i = 0; i < 4; ++i) blocks.push_back(random_block(&rng, 100));
-  blocks.emplace_back(100, 0);
-  {
-    std::vector<ByteSpan> data;
-    std::vector<MutableByteSpan> parity;
-    for (int i = 0; i < 4; ++i) data.emplace_back(blocks[i]);
-    parity.emplace_back(blocks[4]);
-    ASSERT_TRUE(codec->encode(data, parity).ok());
-  }
-  auto original = blocks;
-  for (std::size_t e = 0; e < 5; ++e) {
-    auto damaged = original;
-    std::fill(damaged[e].begin(), damaged[e].end(), 0);
-    std::vector<MutableByteSpan> spans;
-    for (auto& b : damaged) spans.emplace_back(b);
-    ASSERT_TRUE(codec->decode(spans, {e}).ok());
-    EXPECT_EQ(damaged, original) << "erased " << e;
-  }
-}
-
-TEST(XorCodec, DoubleErasureIsDataLoss) {
-  auto codec = make_xor(3);
-  std::vector<Bytes> blocks(4, Bytes(10, 1));
-  std::vector<MutableByteSpan> spans;
-  for (auto& b : blocks) spans.emplace_back(b);
-  EXPECT_EQ(codec->decode(spans, {0, 1}).code(), StatusCode::kDataLoss);
-}
-
-TEST(XorCodec, UpdateParity) {
-  auto codec = make_xor(2);
-  Bytes d0(8, 0x11), d1(8, 0x22), p(8, 0);
-  {
-    std::vector<ByteSpan> data{ByteSpan(d0), ByteSpan(d1)};
-    std::vector<MutableByteSpan> parity{MutableByteSpan(p)};
-    ASSERT_TRUE(codec->encode(data, parity).ok());
-  }
-  Bytes new_d0(8, 0x44);
-  Bytes delta(8);
-  for (int i = 0; i < 8; ++i) delta[i] = d0[i] ^ new_d0[i];
-  {
-    std::vector<MutableByteSpan> parity{MutableByteSpan(p)};
-    ASSERT_TRUE(codec->update_parity(0, delta, parity).ok());
-  }
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(p[i], new_d0[i] ^ d1[i]);
-  }
 }
 
 }  // namespace

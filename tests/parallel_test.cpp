@@ -1,211 +1,21 @@
-// Real-thread components: the parallel erasure coder (bit-identical to
-// the serial codec), the legacy single-lock facades, the sharded
-// lock-striped store/directory under multi-threaded hammering, and the
-// ThreadFabric dispatcher replayed against the single-threaded path.
+// Real-thread components: the sharded lock-striped store/directory
+// under multi-threaded hammering, and the ThreadFabric dispatcher
+// replayed against the single-threaded path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/sharding.hpp"
 #include "common/thread_pool.hpp"
-#include "erasure/parallel.hpp"
-#include "staging/concurrent_store.hpp"
 #include "staging/sharded_store.hpp"
 #include "staging/thread_fabric.hpp"
 
 namespace corec {
 namespace {
-
-using erasure::make_reed_solomon;
-using erasure::ParallelCoder;
-
-Bytes random_bytes(Rng* rng, std::size_t n) {
-  Bytes b(n);
-  for (auto& v : b) v = static_cast<std::uint8_t>(rng->next_u32());
-  return b;
-}
-
-class ParallelCoderTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelCoderTest, EncodeMatchesSerial) {
-  const std::size_t block = GetParam();
-  auto codec = std::move(make_reed_solomon(4, 2)).value();
-  ThreadPool pool(4);
-  ParallelCoder parallel(*codec, &pool, /*slice_bytes=*/4096);
-
-  Rng rng(31 + block);
-  std::vector<Bytes> data_bufs;
-  for (int i = 0; i < 4; ++i) data_bufs.push_back(random_bytes(&rng, block));
-  Bytes p0(block), p1(block), q0(block), q1(block);
-
-  std::vector<ByteSpan> data;
-  for (auto& d : data_bufs) data.emplace_back(d);
-  {
-    std::vector<MutableByteSpan> parity{MutableByteSpan(p0),
-                                        MutableByteSpan(p1)};
-    ASSERT_TRUE(codec->encode(data, parity).ok());
-  }
-  {
-    std::vector<MutableByteSpan> parity{MutableByteSpan(q0),
-                                        MutableByteSpan(q1)};
-    ASSERT_TRUE(parallel.encode(data, parity).ok());
-  }
-  EXPECT_EQ(p0, q0);
-  EXPECT_EQ(p1, q1);
-}
-
-TEST_P(ParallelCoderTest, DecodeRecoversErasures) {
-  const std::size_t block = GetParam();
-  auto codec = std::move(make_reed_solomon(4, 2)).value();
-  ThreadPool pool(4);
-  ParallelCoder parallel(*codec, &pool, /*slice_bytes=*/4096);
-
-  Rng rng(77 + block);
-  std::vector<Bytes> blocks;
-  for (int i = 0; i < 4; ++i) blocks.push_back(random_bytes(&rng, block));
-  blocks.emplace_back(block, 0);
-  blocks.emplace_back(block, 0);
-  {
-    std::vector<ByteSpan> data;
-    std::vector<MutableByteSpan> parity;
-    for (int i = 0; i < 4; ++i) data.emplace_back(blocks[i]);
-    parity.emplace_back(blocks[4]);
-    parity.emplace_back(blocks[5]);
-    ASSERT_TRUE(parallel.encode(data, parity).ok());
-  }
-  auto original = blocks;
-  std::fill(blocks[1].begin(), blocks[1].end(), 0);
-  std::fill(blocks[4].begin(), blocks[4].end(), 0);
-  std::vector<MutableByteSpan> spans;
-  for (auto& b : blocks) spans.emplace_back(b);
-  ASSERT_TRUE(parallel.decode(spans, {1, 4}).ok());
-  EXPECT_EQ(blocks, original);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ParallelCoderTest,
-                         ::testing::Values(100, 4096, 10000, 1 << 20));
-
-TEST(ParallelCoder, SmallPayloadFallsBackToSerial) {
-  auto codec = std::move(make_reed_solomon(2, 1)).value();
-  ParallelCoder no_pool(*codec, nullptr);
-  Bytes a(64, 1), b(64, 2), p(64);
-  std::vector<ByteSpan> data{ByteSpan(a), ByteSpan(b)};
-  std::vector<MutableByteSpan> parity{MutableByteSpan(p)};
-  EXPECT_TRUE(no_pool.encode(data, parity).ok());
-}
-
-TEST(ParallelCoder, PropagatesFailures) {
-  auto codec = std::move(make_reed_solomon(3, 1)).value();
-  ThreadPool pool(2);
-  ParallelCoder parallel(*codec, &pool, 1024);
-  // Too many erasures in every slice -> DataLoss must surface.
-  std::vector<Bytes> blocks(4, Bytes(8192, 1));
-  std::vector<MutableByteSpan> spans;
-  for (auto& b : blocks) spans.emplace_back(b);
-  Status st = parallel.decode(spans, {0, 1});
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-}
-
-TEST(ConcurrentStore, ParallelPutGetEraseIsConsistent) {
-  staging::ConcurrentStore store;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 200;
-  std::atomic<int> mismatches{0};
-
-  auto desc_for = [](int t, int i) {
-    return staging::ObjectDescriptor{
-        static_cast<VarId>(t), static_cast<Version>(i),
-        geom::BoundingBox::line(i, i + 3), staging::kWholeObject};
-  };
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        auto desc = desc_for(t, i);
-        Bytes payload(16, static_cast<std::uint8_t>(t * 16 + i));
-        ASSERT_TRUE(store
-                        .put(staging::DataObject::real(desc, payload),
-                             staging::StoredKind::kPrimary)
-                        .ok());
-        auto got = store.get(desc);
-        if (!got.ok() || got.value().object.data != payload) {
-          mismatches.fetch_add(1);
-        }
-        if (i % 3 == 0) store.erase(desc);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  // Remaining objects: per thread, those with i % 3 != 0.
-  std::size_t expected = 0;
-  for (int i = 0; i < kPerThread; ++i) expected += (i % 3 != 0) ? 1 : 0;
-  EXPECT_EQ(store.count(), expected * kThreads);
-}
-
-// Regression for the legacy facade's copy-out fix: concurrent readers
-// must hand back refcounted payload views, never byte copies.
-TEST(ConcurrentStore, ConcurrentReadsAreZeroCopy) {
-  staging::ConcurrentStore store;
-  auto desc = staging::ObjectDescriptor{
-      7, 1, geom::BoundingBox::line(0, 63), staging::kWholeObject};
-  Bytes payload(4096, 0xAB);
-  ASSERT_TRUE(store
-                  .put(staging::DataObject::real(desc, payload),
-                       staging::StoredKind::kPrimary)
-                  .ok());
-  payload_metrics().reset();
-  std::vector<std::thread> readers;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        auto got = store.get(desc);
-        if (!got.ok() || got.value().object.data != payload) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(payload_metrics().bytes_copied.load(), 0u);
-  EXPECT_EQ(payload_metrics().allocations.load(), 0u);
-}
-
-TEST(ConcurrentDirectory, ParallelUpsertQuery) {
-  staging::ConcurrentDirectory dir;
-  constexpr int kThreads = 6;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 100; ++i) {
-        staging::ObjectDescriptor desc{
-            1, static_cast<Version>(t),
-            geom::BoundingBox::rect(t * 100 + i, 0, t * 100 + i, 0),
-            staging::kWholeObject};
-        staging::ObjectLocation loc;
-        loc.primary = static_cast<ServerId>(t);
-        loc.logical_size = 1;
-        dir.upsert(desc, loc);
-        // Interleaved reads while others write.
-        (void)dir.query_latest(
-            1, 10, geom::BoundingBox::rect(0, 0, 1000, 0));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(dir.size(), 600u);
-  auto all =
-      dir.query_latest(1, 10, geom::BoundingBox::rect(0, 0, 1000, 0));
-  EXPECT_EQ(all.size(), 600u);
-}
 
 // ---- sharded lock-striped data plane ---------------------------------------
 

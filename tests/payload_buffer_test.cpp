@@ -9,9 +9,7 @@
 
 #include "common/buffer.hpp"
 #include "common/checksum.hpp"
-#include "common/thread_pool.hpp"
 #include "erasure/codec.hpp"
-#include "erasure/parallel.hpp"
 #include "resilience/primitives.hpp"
 #include "staging/object.hpp"
 #include "staging/object_store.hpp"
@@ -221,6 +219,8 @@ TEST(StripePayload, DataShardsAreZeroCopyViewsAndDecodable) {
   EXPECT_TRUE(stripe.shards[k].data.shares_with(stripe.shards[k + 1].data))
       << "parity shards should share one allocation";
   EXPECT_EQ(payload_metrics().allocations.load(), 2u);
+  EXPECT_EQ(payload_metrics().cow_detaches.load(), 0u)
+      << "encoding reads shared views; nothing may detach";
 
   // Shard checksums really cover the shard bytes.
   for (const auto& shard : stripe.shards) {
@@ -241,49 +241,6 @@ TEST(StripePayload, DataShardsAreZeroCopyViewsAndDecodable) {
   }
   rebuilt.resize(payload.size());
   EXPECT_EQ(rebuilt, payload);
-}
-
-TEST(ParallelCoder, EncodesSharedChunkViewsWithoutDetaching) {
-  const std::size_t k = 4, m = 2, chunk = 8 * 1024;
-  auto codec = std::move(erasure::make_reed_solomon(k, m)).value();
-  ThreadPool pool(4);
-  erasure::ParallelCoder parallel(*codec, &pool, /*slice_bytes=*/1024);
-
-  auto buf = PayloadBuffer::wrap(pattern_bytes(k * chunk, 3));
-  PayloadBuffer shared_copy = buf;  // concurrent reader of the store
-  std::vector<PayloadBuffer> views;
-  std::vector<ByteSpan> data;
-  for (std::size_t i = 0; i < k; ++i) {
-    views.push_back(buf.slice(i * chunk, chunk));
-    data.push_back(views.back().span());
-  }
-
-  payload_metrics().reset();
-  auto parity = PayloadBuffer::zeros(m * chunk);
-  MutableByteSpan pw = parity.mutable_span();
-  std::vector<MutableByteSpan> parity_spans;
-  for (std::size_t j = 0; j < m; ++j) {
-    parity_spans.push_back(pw.subspan(j * chunk, chunk));
-  }
-  ASSERT_TRUE(parallel.encode(data, parity_spans).ok());
-  EXPECT_EQ(payload_metrics().cow_detaches.load(), 0u)
-      << "encoding reads shared views; nothing may detach";
-  EXPECT_TRUE(shared_copy == buf);
-
-  // Bit-identical to a serial encode over plain copies.
-  std::vector<Bytes> plain;
-  std::vector<ByteSpan> plain_spans;
-  for (std::size_t i = 0; i < k; ++i) {
-    plain.push_back(views[i].to_bytes());
-    plain_spans.emplace_back(plain.back());
-  }
-  Bytes serial(m * chunk, 0);
-  std::vector<MutableByteSpan> serial_spans;
-  for (std::size_t j = 0; j < m; ++j) {
-    serial_spans.push_back(MutableByteSpan(serial).subspan(j * chunk, chunk));
-  }
-  ASSERT_TRUE(codec->encode(plain_spans, serial_spans).ok());
-  EXPECT_EQ(parity, serial);
 }
 
 TEST(PayloadBuffer, ConcurrentReadersOfDistinctViews) {

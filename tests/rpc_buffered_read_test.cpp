@@ -2,9 +2,10 @@
 // recycling behavior, multi-frame slicing out of one chunk, frame
 // splits at every byte offset across buffer refills, tiny-frame
 // floods, refcount parking of the read buffer, the direct large-body
-// path, and loopback byte-parity between the buffered and legacy
-// unbuffered protocols. Runs under the asan leg with
-// COREC_SLAB_POISON=1 so stale views over recycled slabs fault.
+// path, frame-level parity with a plain reference splitter at every
+// chunk size, and loopback byte-parity across payload sizes. Runs under
+// the asan leg with COREC_SLAB_POISON=1 so stale views over recycled
+// slabs fault.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -35,14 +36,41 @@ Bytes pattern_bytes(std::size_t n, std::uint8_t seed) {
 }
 
 // Appends one frame (header + body) to `stream`.
+void append_frame(Bytes* stream, FrameHeader h, const Bytes& body) {
+  h.body_len = static_cast<std::uint32_t>(body.size());
+  encode_frame_header(h, stream);
+  stream->insert(stream->end(), body.begin(), body.end());
+}
+
 void append_frame(Bytes* stream, std::uint64_t request_id,
                   const Bytes& body) {
   FrameHeader h;
   h.opcode = static_cast<std::uint8_t>(OpCode::kPing);
   h.request_id = request_id;
-  h.body_len = static_cast<std::uint32_t>(body.size());
-  encode_frame_header(h, stream);
-  stream->insert(stream->end(), body.begin(), body.end());
+  append_frame(stream, h, body);
+}
+
+// The parity reference: splits a complete stream by decoding each
+// header and slicing the body that follows it, with no buffering.
+struct RefFrame {
+  FrameHeader header;
+  Bytes body;
+};
+
+std::vector<RefFrame> reference_split(const Bytes& stream) {
+  std::vector<RefFrame> frames;
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    auto h = decode_frame_header({stream.data() + pos, kFrameHeaderBytes},
+                                 kDefaultMaxFrameBytes);
+    EXPECT_TRUE(h.ok()) << h.status().to_string();
+    if (!h.ok()) break;
+    pos += kFrameHeaderBytes;
+    frames.push_back({*h, Bytes(stream.begin() + pos,
+                                stream.begin() + pos + h->body_len)});
+    pos += h->body_len;
+  }
+  return frames;
 }
 
 // Feeds `stream` into `assembler` in chunks of at most `chunk` bytes,
@@ -383,7 +411,53 @@ TEST(BufferedSocket, BurstOfFramesArrivesInFewReads) {
   EXPECT_LT(data_reads, kFrames / 2);
 }
 
-// ---- loopback parity: buffered vs legacy unbuffered ----------------------
+// ---- parity with the reference splitter -----------------------------------
+
+// Every header field and body byte the assembler yields must match the
+// reference splitter, whatever the recv chunking: every chunk size from
+// 1 byte to the whole stream, through both a tiny read buffer (constant
+// rotations and direct-mode bodies) and the default geometry.
+TEST(BufferedAssembler, MatchesReferenceSplitterAtEveryChunkSize) {
+  Bytes stream;
+  const std::vector<std::size_t> sizes = {0, 1, 37, 64, 65, 150, 500, 3, 0};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    FrameHeader h;
+    h.opcode = static_cast<std::uint8_t>(1 + i % 5);
+    h.code = static_cast<std::uint16_t>(i * 3);
+    h.request_id = 1000 + i;
+    h.map_version = 7 * i;
+    append_frame(&stream, h,
+                 pattern_bytes(sizes[i], static_cast<std::uint8_t>(50 + i)));
+  }
+  const std::vector<RefFrame> want = reference_split(stream);
+  ASSERT_EQ(want.size(), sizes.size());
+
+  FrameAssemblerOptions tiny;
+  tiny.read_chunk_bytes = 1;  // normalized up to the floor
+  tiny.inline_body_cutover = 64;
+  for (const FrameAssemblerOptions& opts : {tiny, FrameAssemblerOptions{}}) {
+    for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+      FrameAssembler assembler(opts);
+      const std::vector<Frame> got = feed(assembler, stream, chunk);
+      ASSERT_EQ(got.size(), want.size()) << "chunk " << chunk;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const FrameHeader& g = got[i].header;
+        const FrameHeader& w = want[i].header;
+        EXPECT_EQ(g.version, w.version);
+        EXPECT_EQ(g.opcode, w.opcode);
+        EXPECT_EQ(g.code, w.code);
+        EXPECT_EQ(g.request_id, w.request_id);
+        EXPECT_EQ(g.body_len, w.body_len);
+        EXPECT_EQ(g.map_version, w.map_version);
+        ASSERT_TRUE(got[i].body == want[i].body)
+            << "chunk " << chunk << " frame " << i;
+      }
+      EXPECT_FALSE(assembler.mid_frame());
+    }
+  }
+}
+
+// ---- loopback ------------------------------------------------------------
 
 struct ServerFixture {
   explicit ServerFixture(ServerOptions options) : server([&] {
@@ -414,39 +488,24 @@ staging::ObjectDescriptor desc_of(VarId var, int i) {
           staging::kWholeObject};
 }
 
-// Every combination of {buffered, legacy} client x server must move
-// identical bytes, across small, cutover-straddling, and multi-MiB
-// payloads.
-TEST(BufferedLoopback, ByteParityAcrossBufferedAndLegacyPeers) {
+// Client and server must move identical bytes across small,
+// cutover-straddling, and multi-MiB payloads.
+TEST(BufferedLoopback, ByteParityAcrossPayloadSizes) {
   const std::vector<std::size_t> sizes = {1, 64, 4096, 70000, 3u << 20};
-  for (const std::size_t server_chunk : {std::size_t{0},
-                                         kDefaultReadChunkBytes}) {
-    ServerOptions sopts;
-    sopts.read_chunk_bytes = server_chunk;
-    ServerFixture fx(sopts);
-    for (const std::size_t client_chunk : {std::size_t{0},
-                                           kDefaultReadChunkBytes}) {
-      ClientOptions copts = fx.client_options();
-      copts.read_chunk_bytes = client_chunk;
-      Client client(copts);
-      const VarId var =
-          static_cast<VarId>(500 + (server_chunk ? 2 : 0) +
-                             (client_chunk ? 1 : 0));
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const Bytes payload =
-            pattern_bytes(sizes[i], static_cast<std::uint8_t>(37 + i));
-        Status st = client.put(desc_of(var, static_cast<int>(i)),
-                               PayloadBuffer::copy_of(payload));
-        ASSERT_TRUE(st.ok()) << st.to_string();
-        auto got = client.get(desc_of(var, static_cast<int>(i)));
-        ASSERT_TRUE(got.ok()) << got.status().to_string();
-        ASSERT_TRUE(got->payload == payload)
-            << "server_chunk=" << server_chunk
-            << " client_chunk=" << client_chunk << " size=" << sizes[i];
-        EXPECT_EQ(got->payload.crc32c(),
-                  PayloadBuffer::copy_of(payload).crc32c());
-      }
-    }
+  ServerFixture fx(ServerOptions{});
+  Client client(fx.client_options());
+  const VarId var = 500;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const Bytes payload =
+        pattern_bytes(sizes[i], static_cast<std::uint8_t>(37 + i));
+    Status st = client.put(desc_of(var, static_cast<int>(i)),
+                           PayloadBuffer::copy_of(payload));
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    auto got = client.get(desc_of(var, static_cast<int>(i)));
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    ASSERT_TRUE(got->payload == payload) << "size=" << sizes[i];
+    EXPECT_EQ(got->payload.crc32c(),
+              PayloadBuffer::copy_of(payload).crc32c());
   }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Runs the concurrent data-plane microbenchmarks (single-lock
-# ConcurrentStore vs lock-striped ShardedObjectStore across 1→8 threads
-# and three read/write mixes) in google-benchmark's JSON format and
+# Runs the concurrent data-plane microbenchmarks (ShardedObjectStore
+# with one lock stripe vs 16 stripes across 1→8 threads and three
+# read/write mixes) in google-benchmark's JSON format and
 # writes one machine-readable file (default BENCH_concurrency.json).
 # The per-benchmark counters carry the shard contention telemetry
 # (lock acquisitions, contended %, max shard occupancy) and the

@@ -18,6 +18,8 @@
 #include "common/failpoint.hpp"
 #include "rpc/server.hpp"
 
+#include "flags.hpp"
+
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -42,11 +44,6 @@ void usage() {
       "  --segment BYTES     payload slice cap per write segment\n"
       "                      (default 1 MiB)\n"
       "  --max-frame BYTES   frame body ceiling (default 64 MiB)\n"
-      "  --read-chunk BYTES  pooled per-connection read buffer; one\n"
-      "                      recv can deliver many frames (default\n"
-      "                      256 KiB; 0 = legacy unbuffered reads)\n"
-      "  --read-cutover B    largest body assembled inside the read\n"
-      "                      buffer (default 64 KiB)\n"
       "  --failpoints SPEC   arm fault-injection points\n");
 }
 
@@ -72,35 +69,27 @@ int main(int argc, char** argv) {
     } else if (a == "--host") {
       options.host = next();
     } else if (a == "--port") {
-      options.port = static_cast<std::uint16_t>(std::atoi(next()));
+      options.port = corec::flag_uint<std::uint16_t>(a, next());
     } else if (a == "--servers") {
-      options.num_servers = static_cast<std::size_t>(std::atol(next()));
+      options.num_servers = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--store-shards") {
-      options.fabric.store_shards =
-          static_cast<std::size_t>(std::atol(next()));
+      options.fabric.store_shards = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--dir-shards") {
       options.fabric.directory_shards =
-          static_cast<std::size_t>(std::atol(next()));
+          corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--workers") {
-      options.fabric.workers = static_cast<std::size_t>(std::atol(next()));
+      options.fabric.workers = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--capacity") {
       options.fabric.server_capacity =
-          static_cast<std::size_t>(std::atoll(next()));
+          corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--pool-dispatch") {
       options.pool_dispatch = true;
     } else if (a == "--loops") {
-      options.num_loops = static_cast<std::size_t>(std::atol(next()));
+      options.num_loops = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--segment") {
-      options.max_segment_bytes =
-          static_cast<std::size_t>(std::atoll(next()));
+      options.max_segment_bytes = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--max-frame") {
-      options.max_frame_bytes = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--read-chunk") {
-      options.read_chunk_bytes =
-          static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--read-cutover") {
-      options.inline_body_cutover =
-          static_cast<std::size_t>(std::atoll(next()));
+      options.max_frame_bytes = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--failpoints") {
       failpoints = next();
     } else {

@@ -13,9 +13,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,6 +40,8 @@
 #include "workloads/mechanisms.hpp"
 #include "workloads/s3d.hpp"
 #include "workloads/synthetic.hpp"
+
+#include "flags.hpp"
 
 using namespace corec;
 using namespace corec::workloads;
@@ -153,13 +155,15 @@ void usage() {
       "  --csv               per-step CSV on stdout\n");
 }
 
-bool parse_pair(const char* arg, std::pair<Version, ServerId>* out) {
-  const char* colon = std::strchr(arg, ':');
-  if (colon == nullptr) return false;
-  out->first = static_cast<Version>(std::strtoul(arg, nullptr, 10));
-  out->second =
-      static_cast<ServerId>(std::strtoul(colon + 1, nullptr, 10));
-  return true;
+// A TS:SRV flag value; exits 2 naming the flag when malformed.
+std::pair<Version, ServerId> parse_pair(const std::string& flag,
+                                        std::string_view arg) {
+  const auto colon = arg.find(':');
+  if (colon == std::string_view::npos) {
+    exit_bad_flag(flag, Status::InvalidArgument("expects TS:SRV"));
+  }
+  return {flag_uint<Version>(flag, arg.substr(0, colon)),
+          flag_uint<ServerId>(flag, arg.substr(colon + 1))};
 }
 
 Mechanism parse_mechanism(const std::string& name) {
@@ -187,50 +191,49 @@ bool parse_args(int argc, char** argv, CliOptions* cli) {
       usage();
       std::exit(0);
     } else if (a == "--case") {
-      cli->case_number = std::atoi(next());
+      cli->case_number = flag_uint<int>(a, next());
     } else if (a == "--s3d") {
-      cli->s3d_cores = std::atoi(next());
+      cli->s3d_cores = flag_uint<int>(a, next());
     } else if (a == "--scale") {
-      cli->s3d_scale = std::atol(next());
+      cli->s3d_scale = flag_uint<geom::Coord>(a, next());
     } else if (a == "--mechanism") {
       cli->mechanism = next();
     } else if (a == "--servers") {
-      cli->servers = static_cast<std::size_t>(std::atol(next()));
+      cli->servers = flag_uint<std::size_t>(a, next());
     } else if (a == "--cabinets") {
-      cli->cabinets = static_cast<std::size_t>(std::atol(next()));
+      cli->cabinets = flag_uint<std::size_t>(a, next());
     } else if (a == "--steps") {
-      cli->steps = static_cast<Version>(std::atol(next()));
+      cli->steps = flag_uint<Version>(a, next());
     } else if (a == "--k") {
-      cli->k = static_cast<std::size_t>(std::atol(next()));
+      cli->k = flag_uint<std::size_t>(a, next());
     } else if (a == "--m") {
-      cli->m = static_cast<std::size_t>(std::atol(next()));
+      cli->m = flag_uint<std::size_t>(a, next());
     } else if (a == "--replicas") {
-      cli->n_level = static_cast<std::size_t>(std::atol(next()));
+      cli->n_level = flag_uint<std::size_t>(a, next());
     } else if (a == "--floor") {
-      cli->floor = std::atof(next());
+      cli->floor = flag_double(a, next(), 0.0, 1.0);
     } else if (a == "--threads") {
-      cli->threads = static_cast<std::size_t>(std::atol(next()));
+      cli->threads = flag_uint<std::size_t>(a, next());
     } else if (a == "--serve") {
-      cli->serve_port = std::atoi(next());
+      cli->serve_port = flag_uint<std::uint16_t>(a, next());
     } else if (a == "--loops") {
-      cli->serve_loops = static_cast<std::size_t>(std::atol(next()));
+      cli->serve_loops = flag_uint<std::size_t>(a, next());
     } else if (a == "--connect") {
       cli->connect_addr = next();
     } else if (a == "--seed") {
-      cli->seed = std::strtoull(next(), nullptr, 10);
+      cli->seed = flag_uint(a, next());
     } else if (a == "--failpoints") {
       cli->failpoints = next();
     } else if (a == "--scrub") {
-      cli->scrub_mtbf = std::atof(next());
+      cli->scrub_mtbf = flag_double(a, next(), 0.0, 1e9);
     } else if (a == "--batch-encode") {
       cli->batch_encode = true;
     } else if (a == "--pipeline-encode") {
       cli->pipeline_encode = true;
     } else if (a == "--meta") {
-      cli->meta_followers = static_cast<std::size_t>(std::atol(next()));
+      cli->meta_followers = flag_uint<std::size_t>(a, next());
     } else if (a == "--meta-kill") {
-      cli->meta_kills.push_back(
-          static_cast<Version>(std::atol(next())));
+      cli->meta_kills.push_back(flag_uint<Version>(a, next()));
     } else if (a == "--csv") {
       cli->csv = true;
     } else if (a == "--verify") {
@@ -238,20 +241,14 @@ bool parse_args(int argc, char** argv, CliOptions* cli) {
     } else if (a == "--calibrate") {
       cli->calibrate = true;
     } else if (a == "--fail") {
-      std::pair<Version, ServerId> p;
-      if (!parse_pair(next(), &p)) return false;
-      cli->fails.push_back(p);
+      cli->fails.push_back(parse_pair(a, next()));
     } else if (a == "--replace") {
-      std::pair<Version, ServerId> p;
-      if (!parse_pair(next(), &p)) return false;
-      cli->replaces.push_back(p);
+      cli->replaces.push_back(parse_pair(a, next()));
     } else if (a == "--join") {
-      cli->joins.push_back(static_cast<Version>(std::atol(next())));
+      cli->joins.push_back(flag_uint<Version>(a, next()));
       cli->pool_placement = true;
     } else if (a == "--drain") {
-      std::pair<Version, ServerId> p;
-      if (!parse_pair(next(), &p)) return false;
-      cli->drains.push_back(p);
+      cli->drains.push_back(parse_pair(a, next()));
       cli->pool_placement = true;
     } else if (a == "--pool-placement") {
       cli->pool_placement = true;
@@ -589,8 +586,8 @@ int run_connect(const CliOptions& cli) {
   }
   rpc::ClientOptions options;
   options.host = cli.connect_addr.substr(0, colon);
-  options.port = static_cast<std::uint16_t>(
-      std::atoi(cli.connect_addr.c_str() + colon + 1));
+  options.port = flag_uint<std::uint16_t>(
+      "--connect", std::string_view(cli.connect_addr).substr(colon + 1));
   rpc::Client client(options);
 
   Status st = client.ping();

@@ -1,23 +1,27 @@
 // Microbenchmark: GF(2^8) kernel throughput — the region operations
 // that dominate Reed-Solomon encode/decode cost. Feeds the cost-model
-// calibration (net::calibrate_encode_rate).
+// calibration (net::calibrate_encode_rate). Also measures the CRC32C
+// kernels, the other per-byte cost on every put and every shard.
 //
 // Benchmarks are registered once per kernel this build/CPU can run
-// (portable/ssse3/avx2), so one run reports the scalar baseline next
-// to the SIMD kernels. `--benchmark_format=json` (or
-// tools/bench_gf_json.sh) emits the machine-readable form tracked in
-// BENCH_gf.json.
+// (GF: portable/ssse3/avx2; CRC32C: portable/sse42), so one run
+// reports the scalar baseline next to the SIMD kernels.
+// `--benchmark_format=json` (or tools/bench_gf_json.sh) emits the
+// machine-readable form tracked in BENCH_gf.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/checksum.hpp"
+#include "common/checksum_kernels.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf256_simd.hpp"
 
 namespace {
 
+using corec::detail::Crc32cKernel;
 using corec::gf::Kernels;
 
 std::vector<std::uint8_t> make_buf(std::size_t n, unsigned salt) {
@@ -77,6 +81,18 @@ void BM_RegionMulAddMulti(benchmark::State& state, const Kernels* kernels) {
                           static_cast<std::int64_t>(n * kSources));
 }
 
+void BM_Crc32c(benchmark::State& state, const Crc32cKernel* kernel) {
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  auto buf = make_buf(n, 5);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = kernel->fn(buf.data(), n, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
 void BM_ScalarMul(benchmark::State& state) {
   std::uint8_t acc = 1;
   for (auto _ : state) {
@@ -109,6 +125,14 @@ void register_region_benchmarks() {
                                  BM_RegionMulAddMulti, k)
         ->Range(1 << 10, 1 << 22);
   }
+  // Sizes: a serve_small object, a corec_s3d object, a serve_bulk put.
+  for (const Crc32cKernel* k : corec::detail::crc32c_available_kernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Crc32c/") + k->name).c_str(), BM_Crc32c, k)
+        ->Arg(4096)
+        ->Arg(32768)
+        ->Arg(2097152);
+  }
 }
 
 }  // namespace
@@ -117,6 +141,8 @@ int main(int argc, char** argv) {
   register_region_benchmarks();
   benchmark::AddCustomContext("gf_kernel_dispatched",
                               corec::gf::kernel_name());
+  benchmark::AddCustomContext("crc32c_kernel_dispatched",
+                              corec::crc32c_kernel_name());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

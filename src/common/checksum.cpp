@@ -1,8 +1,17 @@
 #include "common/checksum.hpp"
 
-#include <array>
+#include "common/checksum_kernels.hpp"
 
 namespace corec {
+namespace detail {
+
+// Defined in checksum_sse42.cpp when the build compiles it (per-file
+// -msse4.2; see src/common/CMakeLists.txt). Only ever called after a
+// CPUID check.
+#if COREC_CRC_HAVE_SSE42
+const Crc32cKernel& sse42_crc32c_kernel();
+#endif
+
 namespace {
 
 constexpr std::uint32_t kPoly = 0x82f63b78u;  // reflected CRC32C
@@ -39,10 +48,8 @@ const Tables& tables() {
   return tb;
 }
 
-}  // namespace
-
-std::uint32_t crc32c(const std::uint8_t* data, std::size_t len,
-                     std::uint32_t seed) {
+std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t len,
+                              std::uint32_t seed) {
   const Tables& tb = tables();
   std::uint32_t crc = ~seed;
   while (len >= 8) {
@@ -61,6 +68,62 @@ std::uint32_t crc32c(const std::uint8_t* data, std::size_t len,
     crc = (crc >> 8) ^ tb.t[0][(crc ^ *data++) & 0xffu];
   }
   return ~crc;
+}
+
+constexpr Crc32cKernel kPortableKernel = {"portable", crc32c_portable};
+
+bool cpu_has_sse42() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
+}  // namespace
+
+const Crc32cKernel* crc32c_kernel_by_name(std::string_view name) {
+  if (name == "portable") return &kPortableKernel;
+#if COREC_CRC_HAVE_SSE42
+  if (name == "sse42" && cpu_has_sse42()) return &sse42_crc32c_kernel();
+#endif
+  return nullptr;
+}
+
+std::vector<const Crc32cKernel*> crc32c_available_kernels() {
+  std::vector<const Crc32cKernel*> out{&kPortableKernel};
+  if (const Crc32cKernel* hw = crc32c_kernel_by_name("sse42")) {
+    out.push_back(hw);
+  }
+  return out;
+}
+
+const Crc32cKernel& crc32c_selected_kernel() {
+  static const Crc32cKernel* const selected = [] {
+    const Crc32cKernel* hw = crc32c_kernel_by_name("sse42");
+    return hw != nullptr ? hw : &kPortableKernel;
+  }();
+  return *selected;
+}
+
+bool crc32c_sse42_compiled() {
+#if COREC_CRC_HAVE_SSE42
+  return true;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
+
+std::uint32_t crc32c(const std::uint8_t* data, std::size_t len,
+                     std::uint32_t seed) {
+  return detail::crc32c_selected_kernel().fn(data, len, seed);
+}
+
+const char* crc32c_kernel_name() {
+  return detail::crc32c_selected_kernel().name;
 }
 
 }  // namespace corec

@@ -94,6 +94,10 @@ SimTime BatchedEncoder::drain(SimTime now, Breakdown* bd) {
     SimTime prev_done = now;   // encode completion of the previous batch
     bool first_batch = true;
 
+    // Looked up here, not in the workers: codec() fills a lazy cache,
+    // and concurrent first lookups would race on its insert.
+    const erasure::Codec& codec = service_->codec(
+        static_cast<std::uint32_t>(k_), static_cast<std::uint32_t>(m_));
     for (auto [b_lo, b_hi] : batches) {
       const std::size_t count = b_hi - b_lo;
 
@@ -109,10 +113,7 @@ SimTime BatchedEncoder::drain(SimTime now, Breakdown* bd) {
           ok[r] = 0;  // corrupt source: never re-encode bad bytes
           return;
         }
-        stripes[r] = resilience::make_stripe_payload(
-            service_->codec(static_cast<std::uint32_t>(k_),
-                            static_cast<std::uint32_t>(m_)),
-            p.obj, k_, m_);
+        stripes[r] = resilience::make_stripe_payload(codec, p.obj, k_, m_);
       };
       if (options_.encode_threads == 1 || count == 1) {
         for (std::size_t r = 0; r < count; ++r) prep_one(r);

@@ -90,23 +90,34 @@ Status Client::call_once(Channel& ch, OpCode op, std::uint64_t request_id,
   encode_frame_header(h, &head);
   head.insert(head.end(), prefix.begin(), prefix.end());
 
+  // The payload goes out straight from the caller's refcounted view —
+  // the kernel socket write is its only copy.
+  ByteSpan body = payload.span();
+  Bytes flipped;
   if (auto hit = COREC_FAILPOINT("rpc.client.send")) {
-    if (hit.action == failpoint::Action::kPartialWrite) {
-      // Ship a truncated head then fail: the server sees a mid-frame
-      // client death.
-      std::size_t keep = hit.arg == 0 ? head.size() / 2
-                                      : static_cast<std::size_t>(hit.arg);
-      keep = std::min(keep, head.size());
-      (void)send_all(ch.fd.get(), ByteSpan(head.data(), keep), deadline);
+    if (hit.action != failpoint::Action::kBitFlip) {
+      if (hit.action == failpoint::Action::kPartialWrite) {
+        // Ship a truncated head then fail: the server sees a mid-frame
+        // client death.
+        std::size_t keep = hit.arg == 0 ? head.size() / 2
+                                        : static_cast<std::size_t>(hit.arg);
+        keep = std::min(keep, head.size());
+        (void)send_all(ch.fd.get(), ByteSpan(head.data(), keep), deadline);
+      }
+      return Status::Unavailable("injected send failure");
     }
-    return Status::Unavailable("injected send failure");
+    if (!body.empty()) {
+      // Wire corruption: ship a copy with one bit flipped after the CRC
+      // in the request was taken. The server's ingest check must answer
+      // DATA_LOSS and store nothing.
+      flipped.assign(body.begin(), body.end());
+      flipped[hit.rng % flipped.size()] ^= 0x40;
+      body = flipped;
+    }
   }
-  COREC_RETURN_IF_ERROR(send_all(ch.fd.get(), head, deadline));
-  if (!payload.empty()) {
-    // Payload goes out straight from the caller's refcounted view —
-    // the kernel socket write is its only copy.
-    COREC_RETURN_IF_ERROR(send_all(ch.fd.get(), payload.span(), deadline));
-  }
+  // Head and payload leave in one gathered write: one syscall and, with
+  // TCP_NODELAY, no separate segment for the head.
+  COREC_RETURN_IF_ERROR(send_all(ch.fd.get(), {head, body}, deadline));
 
   if (auto hit = COREC_FAILPOINT("rpc.client.recv")) {
     return Status::Unavailable("injected recv failure");

@@ -112,6 +112,8 @@ ServerStatsSnapshot Server::stats() const {
       backpressure_pauses_.load(std::memory_order_relaxed);
   s.accept_pauses = accept_pauses_.load(std::memory_order_relaxed);
   s.injected_failures = injected_failures_.load(std::memory_order_relaxed);
+  s.ingest_crc_failures =
+      ingest_crc_failures_.load(std::memory_order_relaxed);
   s.per_loop.reserve(loops_.size());
   for (const auto& shard : loops_) {
     LoopStatsSnapshot l;
@@ -236,8 +238,9 @@ void Server::adopt_connection(std::size_t loop_index, int fd) {
   // EPOLLRDHUP is part of the permanent interest set: a client that
   // dies while its reads are paused is reaped on the event instead of
   // lingering until the next failed write.
+  conn->interest = EPOLLIN | EPOLLRDHUP;
   Status st = loops_[loop_index]->loop->add(
-      fd, EPOLLIN | EPOLLRDHUP, [this, conn](std::uint32_t events) {
+      fd, conn->interest, [this, conn](std::uint32_t events) {
         on_connection_event(conn, events);
       });
   if (!st.ok()) {
@@ -411,6 +414,15 @@ OutFrame Server::execute(const FrameHeader& header,
       // only the encoded metadata prefix and stays zero-copy.
       PayloadBuffer payload = req->payload.compacted(
           std::max<std::size_t>(4096, req->payload.size()));
+      // Ingest verification: the CRC recomputed over the received bytes
+      // (which also seeds the stored view's CRC cache) must match the
+      // client's claim, or the payload was corrupted on the way in and
+      // nothing is stored.
+      if (payload.crc32c() != req->checksum) {
+        ingest_crc_failures_.fetch_add(1, std::memory_order_relaxed);
+        return error_response(
+            header, Status::DataLoss("put payload fails its CRC32C"));
+      }
       DataObject obj = DataObject::with_checksum(
           req->desc, payload, req->checksum);
       const ServerId primary = fabric_.route(req->desc);
@@ -562,19 +574,21 @@ void Server::flush_writes(const ConnPtr& conn) {
 
 void Server::update_read_interest(const ConnPtr& conn) {
   if (conn->closed) return;
-  bool pause = conn->reads_paused;
-  const std::size_t queued = conn->write_queue.queued_bytes();
-  if (!pause && queued > options_.max_write_queue_bytes) {
-    pause = true;
+  const bool pause =
+      reads_paused_after(conn->reads_paused, conn->write_queue.queued_bytes(),
+                         options_.max_write_queue_bytes);
+  if (pause && !conn->reads_paused) {
     backpressure_pauses_.fetch_add(1, std::memory_order_relaxed);
-  } else if (pause && queued <= options_.max_write_queue_bytes / 2) {
-    pause = false;
   }
   conn->reads_paused = pause;
   std::uint32_t events = EPOLLRDHUP;
   if (!pause) events |= EPOLLIN;
   if (!conn->write_queue.empty()) events |= EPOLLOUT;
-  (void)loop_of(conn).modify(conn->fd, events);
+  // Most flushes drain the queue and leave the interest set as it was:
+  // no epoll_ctl then. A failed modify keeps the old mask so the next
+  // flush retries it.
+  if (events == conn->interest) return;
+  if (loop_of(conn).modify(conn->fd, events).ok()) conn->interest = events;
 }
 
 void Server::close_connection(const ConnPtr& conn) {

@@ -17,7 +17,9 @@
 //
 // Data-path zero-copy both ways:
 //   * put — a large body is the single pooled allocation the socket
-//     was read into; the stored payload is a slice of it (no memcpy);
+//     was read into; the stored payload is a slice of it (no memcpy).
+//     Its CRC32C is recomputed on ingest and must match the one the
+//     client sent, or the put answers DATA_LOSS and stores nothing;
 //   * get — the response is a small encoded head plus the store's
 //     refcounted payload view, shipped as scatter-gather segments; the
 //     only copy of the payload is the kernel socket write.
@@ -75,6 +77,14 @@ struct ServerOptions {
   std::size_t max_segment_bytes = 1u << 20;
 };
 
+/// Read backpressure with hysteresis: a connection's reads pause once
+/// its write queue holds more than `limit` bytes and resume once it
+/// drains to `limit / 2`. Returns the new paused state.
+constexpr bool reads_paused_after(bool paused, std::size_t queued,
+                                  std::size_t limit) {
+  return paused ? queued > limit / 2 : queued > limit;
+}
+
 /// Frames-per-recv histogram buckets: 0 (partial), 1, 2, 3–4, 5–8,
 /// 9–16, 17–32, 33+.
 inline constexpr std::size_t kRecvBatchBuckets = 8;
@@ -114,6 +124,7 @@ struct ServerStatsSnapshot {
   std::uint64_t backpressure_pauses = 0;
   std::uint64_t accept_pauses = 0;  // EMFILE/ENFILE park episodes
   std::uint64_t injected_failures = 0;  // failpoint-forced drops/errors
+  std::uint64_t ingest_crc_failures = 0;  // puts refused: CRC mismatch
   std::array<std::uint64_t, kWritevBatchBuckets> writev_batch_hist{};
   std::array<std::uint64_t, kRecvBatchBuckets> recv_batch_hist{};
   std::vector<LoopStatsSnapshot> per_loop;
@@ -161,6 +172,7 @@ class Server {
     WriteQueue write_queue;
     bool reads_paused = false;
     bool closed = false;
+    std::uint32_t interest = 0;  // epoll event mask registered for fd
     std::uint64_t inflight = 0;  // pool-dispatched ops not yet completed
   };
   using ConnPtr = std::shared_ptr<Connection>;
@@ -233,6 +245,7 @@ class Server {
   mutable std::atomic<std::uint64_t> backpressure_pauses_{0};
   mutable std::atomic<std::uint64_t> accept_pauses_{0};
   mutable std::atomic<std::uint64_t> injected_failures_{0};
+  mutable std::atomic<std::uint64_t> ingest_crc_failures_{0};
 };
 
 }  // namespace corec::rpc

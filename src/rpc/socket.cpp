@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -138,15 +139,49 @@ StatusOr<OwnedFd> connect_tcp(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-Status send_all(int fd, ByteSpan data, int deadline_ms) {
+Status send_all(int fd, std::initializer_list<ByteSpan> parts,
+                int deadline_ms) {
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(deadline_ms);
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+  // Gathers at most this many parts per sendmsg; longer lists go out
+  // in several calls.
+  constexpr std::size_t kIovBatch = 8;
+  const ByteSpan* part = parts.begin();
+  std::size_t offset = 0;  // bytes of *part already sent
+  for (;;) {
+    while (part != parts.end() && offset == part->size()) {
+      ++part;
+      offset = 0;
+    }
+    if (part == parts.end()) return Status::Ok();
+    iovec iov[kIovBatch];
+    std::size_t n_iov = 0;
+    for (const ByteSpan* p = part; p != parts.end() && n_iov < kIovBatch;
+         ++p) {
+      const std::size_t skip = p == part ? offset : 0;
+      if (p->size() == skip) continue;
+      iov[n_iov].iov_base = const_cast<std::uint8_t*>(p->data() + skip);
+      iov[n_iov].iov_len = p->size() - skip;
+      ++n_iov;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      sent += static_cast<std::size_t>(n);
+      // Walk the sent bytes forward over the parts; a short write
+      // leaves `offset` inside the part the next call resumes from.
+      auto left = static_cast<std::size_t>(n);
+      while (left > 0) {
+        const std::size_t room = part->size() - offset;
+        if (left < room) {
+          offset += left;
+          break;
+        }
+        left -= room;
+        ++part;
+        offset = 0;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -156,7 +191,6 @@ Status send_all(int fd, ByteSpan data, int deadline_ms) {
     if (n < 0 && errno == EINTR) continue;
     return Status::Unavailable(errno_string("send"));
   }
-  return Status::Ok();
 }
 
 Status recv_exact(int fd, MutableByteSpan out, int deadline_ms) {

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 
@@ -59,9 +60,17 @@ StatusOr<std::uint16_t> local_port(int fd);
 StatusOr<OwnedFd> connect_tcp(const std::string& host, std::uint16_t port,
                               int timeout_ms);
 
-/// Sends all of `data`, polling for writability until `deadline_ms`
-/// from now elapses. Unavailable on peer reset or timeout.
-Status send_all(int fd, ByteSpan data, int deadline_ms);
+/// Sends every part back to back as one gathered write (sendmsg over
+/// an iovec array), polling for writability until `deadline_ms` from
+/// now elapses; a short write resumes mid-part. Unavailable on peer
+/// reset or timeout. Empty parts are skipped.
+Status send_all(int fd, std::initializer_list<ByteSpan> parts,
+                int deadline_ms);
+
+/// Single-buffer form of the above.
+inline Status send_all(int fd, ByteSpan data, int deadline_ms) {
+  return send_all(fd, std::initializer_list<ByteSpan>{data}, deadline_ms);
+}
 
 /// Receives exactly `out.size()` bytes, polling for readability until
 /// the deadline. Unavailable on EOF, reset, or timeout.

@@ -151,6 +151,29 @@ TEST(BatchedEncoder, ReadsAfterBatchedTransitionReturnOriginalBytes) {
   }
 }
 
+TEST(BatchedEncoder, PooledStripePrepMatchesInlinePrep) {
+  // Stripe prep fanned over worker threads on a fresh service: the
+  // first drain is also the first codec lookup, which must not race
+  // between workers. Same directory outcome as inline prep, and every
+  // block reads back intact.
+  CorecOptions pooled = corec_opts(true);
+  pooled.batch.encode_threads = 4;
+  Fixture inline_prep(corec_opts(true));
+  Fixture threaded(pooled);
+  EXPECT_EQ(run_workload(inline_prep), run_workload(threaded));
+  EXPECT_EQ(inline_prep.service.stored_bytes(),
+            threaded.service.stored_bytes());
+  EXPECT_GT(threaded.scheme_ptr->batch_encoder()->stats().objects, 0u);
+  auto blocks = geom::regular_decomposition(
+      threaded.service.options().domain, {4, 4, 4});
+  std::uint8_t seed = 1;
+  for (const auto& b : blocks) {
+    Bytes out;
+    ASSERT_TRUE(threaded.service.get(1, 1, b, &out).status.ok());
+    EXPECT_EQ(out, block_payload(b, seed++));
+  }
+}
+
 TEST(BatchedEncoder, SmallBatchLimitCutsMoreBatches) {
   CorecOptions tiny = corec_opts(true);
   tiny.batch.max_batch_objects = 2;

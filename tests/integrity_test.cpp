@@ -1,14 +1,18 @@
-// End-to-end integrity: CRC32C known answers, the erasure/corruption
+// End-to-end integrity: CRC32C known answers and kernel parity (the
+// hardware kernel against the portable one), the erasure/corruption
 // property suite (every erasure combination within tolerance round
 // trips; checksum-flagged shards repair exactly like missing ones), the
 // scrubber detect-and-repair loop, and the degenerate-size regressions
 // (zero-length and single-byte payloads, empty coding regions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/checksum.hpp"
+#include "common/checksum_kernels.hpp"
+#include "common/rng.hpp"
 #include "erasure/stripe.hpp"
 #include "resilience/scrubber.hpp"
 #include "staging/object_store.hpp"
@@ -18,6 +22,7 @@
 namespace corec {
 namespace {
 
+using detail::Crc32cKernel;
 using erasure::build_stripe;
 using erasure::extract_payload;
 using erasure::make_reed_solomon;
@@ -70,6 +75,110 @@ TEST(Crc32c, DetectsSingleBitFlips) {
     EXPECT_NE(crc32c(b.data(), b.size()), clean) << "offset " << i;
     b[i] ^= 0x40;
   }
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes b(n);
+  for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next_u32());
+  return b;
+}
+
+const Crc32cKernel& portable_kernel() {
+  return *detail::crc32c_kernel_by_name("portable");
+}
+
+TEST(Crc32c, EveryKernelMatchesPortableAtEveryAlignmentAndLength) {
+  constexpr std::size_t kMaxLen = 1024;
+  const Bytes buf = random_bytes(kMaxLen + 16, 1);
+  const Crc32cKernel& ref = portable_kernel();
+  for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
+    for (std::size_t align = 0; align < 16; ++align) {
+      const std::uint8_t* p = buf.data() + align;
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        const std::uint32_t seed = static_cast<std::uint32_t>(len * align);
+        ASSERT_EQ(k->fn(p, len, seed), ref.fn(p, len, seed))
+            << k->name << " align " << align << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, EveryKernelMatchesPortableAtLaneBoundaries) {
+  // Lengths straddling the hardware kernel's 3 x 8 KiB and 3 x 256 B
+  // interleaved blocks, plus one long odd-length buffer.
+  const std::vector<std::size_t> lengths = {
+      3 * 8192 - 1, 3 * 8192, 3 * 8192 + 1, 3 * 256 - 1, 3 * 256,
+      3 * 256 + 1,  2 * 3 * 8192 + 3 * 256 + 7, (1u << 20) + 7};
+  const Bytes buf = random_bytes((1u << 20) + 32, 2);
+  const Crc32cKernel& ref = portable_kernel();
+  for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
+    for (std::size_t len : lengths) {
+      for (std::size_t align : {0, 1, 7, 8, 13}) {
+        const std::uint8_t* p = buf.data() + align;
+        ASSERT_EQ(k->fn(p, len, 0), ref.fn(p, len, 0))
+            << k->name << " align " << align << " len " << len;
+        ASSERT_EQ(k->fn(p, len, 0xdeadbeefu), ref.fn(p, len, 0xdeadbeefu))
+            << k->name << " seeded, align " << align << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, SeedChainsAcrossRandomSplits) {
+  const Bytes buf = random_bytes(100 * 1024, 3);
+  Rng rng(4);
+  for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
+    const std::uint32_t whole = k->fn(buf.data(), buf.size(), 0);
+    for (int trial = 0; trial < 64; ++trial) {
+      const std::size_t cut =
+          rng.uniform(static_cast<std::uint32_t>(buf.size() + 1));
+      const std::uint32_t a = k->fn(buf.data(), cut, 0);
+      ASSERT_EQ(k->fn(buf.data() + cut, buf.size() - cut, a), whole)
+          << k->name << " cut " << cut;
+    }
+    // Many pieces: chaining through every piece still gives crc(a||b).
+    std::uint32_t chained = 0;
+    for (std::size_t off = 0; off < buf.size();) {
+      const std::size_t piece = std::min<std::size_t>(
+          1 + rng.uniform(40000), buf.size() - off);
+      chained = k->fn(buf.data() + off, piece, chained);
+      off += piece;
+    }
+    EXPECT_EQ(chained, whole) << k->name;
+  }
+}
+
+TEST(Crc32c, Rfc3720Vectors) {
+  Bytes zeros(32, 0x00);
+  Bytes ones(32, 0xff);
+  Bytes ascending(32);
+  Bytes descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
+    EXPECT_EQ(k->fn(zeros.data(), 32, 0), 0x8A9136AAu) << k->name;
+    EXPECT_EQ(k->fn(ones.data(), 32, 0), 0x62A8AB43u) << k->name;
+    EXPECT_EQ(k->fn(ascending.data(), 32, 0), 0x46DD794Eu) << k->name;
+    EXPECT_EQ(k->fn(descending.data(), 32, 0), 0x113FDB5Cu) << k->name;
+    EXPECT_EQ(k->fn(nullptr, 0, 0), 0u) << k->name;
+  }
+}
+
+TEST(Crc32c, DispatchPicksHardwareKernelWhenAvailable) {
+  bool cpu_has_sse42 = false;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  cpu_has_sse42 = __builtin_cpu_supports("sse4.2");
+#endif
+  const bool want_hw = detail::crc32c_sse42_compiled() && cpu_has_sse42;
+  const char* expected = want_hw ? "sse42" : "portable";
+  EXPECT_STREQ(detail::crc32c_selected_kernel().name, expected);
+  EXPECT_STREQ(crc32c_kernel_name(), expected);
+  EXPECT_EQ(detail::crc32c_kernel_by_name("sse42") != nullptr, want_hw);
+  EXPECT_EQ(detail::crc32c_available_kernels().size(), want_hw ? 2u : 1u);
 }
 
 // ---- property: all erasure combinations within tolerance -----------------

@@ -1,7 +1,8 @@
 // RPC serving path: framing round trips, loopback integration against
 // a live epoll server (byte-for-byte parity with direct ThreadFabric
 // calls), concurrent clients, zero-copy payload accounting, timeout /
-// retry behavior, and mid-frame connection kills via failpoints.
+// retry behavior, mid-frame connection kills via failpoints, CRC32C
+// verification of every put on ingest, and read backpressure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -463,6 +464,141 @@ TEST(RpcChaos, MidFrameClientKillLeavesServerServing) {
   auto got = healthy.get(desc_of(var, 1));
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->payload == payload);
+}
+
+TEST(RpcIntegrity, BitFlippedPutPayloadIsRefusedAndNeverStored) {
+  ServerFixture fx;
+  ClientOptions options = fx.client_options();
+  options.max_retries = 3;
+  options.retry_backoff_ms = 1;
+  Client client(options);
+  const VarId var = 24;
+  // One byte, an inline body and a body above the read cutover that the
+  // server assembles directly into its own block.
+  const std::vector<std::size_t> sizes = {1, 4096, 1u << 20};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const ObjectDescriptor desc = desc_of(var, static_cast<int>(i));
+    const Bytes payload =
+        pattern_bytes(sizes[i], static_cast<std::uint8_t>(i));
+    {
+      // The client takes the CRC, then one payload bit flips on the
+      // wire. DATA_LOSS is an answer, not a transport fault: no retry.
+      // (Hit counters are lifetime counters across armings.)
+      const std::uint64_t hits_before =
+          failpoint::registry().hits("rpc.client.send");
+      failpoint::ScopedFailpoint fp(
+          "rpc.client.send",
+          {failpoint::Action::kBitFlip, 1.0, /*max_hits=*/1});
+      Status st = client.put(desc, PayloadBuffer::copy_of(payload));
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.to_string();
+      EXPECT_EQ(fp.hits(), hits_before + 1);
+    }
+    EXPECT_EQ(client.stats().retries, 0u);
+    EXPECT_EQ(fx.server.stats().ingest_crc_failures, i + 1);
+    auto got = client.get(desc);
+    EXPECT_EQ(got.status().code(), StatusCode::kNotFound)
+        << "size " << sizes[i];
+    auto listed = client.query(var, 1, desc.box, /*latest=*/false);
+    ASSERT_TRUE(listed.ok());
+    EXPECT_TRUE(listed->empty()) << "directory upserted a refused put";
+    auto stat = client.stat();
+    ASSERT_TRUE(stat.ok());
+    EXPECT_EQ(stat->total_objects, 0u);
+    EXPECT_EQ(stat->total_bytes, 0u);
+  }
+  // The same bytes, unflipped, are accepted and read back intact.
+  const Bytes payload = pattern_bytes(4096, 9);
+  ASSERT_TRUE(client.put(desc_of(var, 9), PayloadBuffer::copy_of(payload))
+                  .ok());
+  auto got = client.get(desc_of(var, 9));
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_TRUE(got->payload == payload);
+  EXPECT_EQ(fx.server.stats().ingest_crc_failures, sizes.size());
+}
+
+TEST(RpcServer, ReadPauseHysteresis) {
+  constexpr std::size_t kLimit = 1000;
+  EXPECT_FALSE(reads_paused_after(false, kLimit, kLimit));
+  EXPECT_TRUE(reads_paused_after(false, kLimit + 1, kLimit));
+  // Once paused, reads stay off until the queue drains to half.
+  EXPECT_TRUE(reads_paused_after(true, kLimit + 1, kLimit));
+  EXPECT_TRUE(reads_paused_after(true, kLimit, kLimit));
+  EXPECT_TRUE(reads_paused_after(true, kLimit / 2 + 1, kLimit));
+  EXPECT_FALSE(reads_paused_after(true, kLimit / 2, kLimit));
+  EXPECT_FALSE(reads_paused_after(true, 0, kLimit));
+}
+
+TEST(RpcServer, BackpressurePausesReadsAndResumes) {
+  // A client pipelines gets for a 256 KiB object and reads nothing back.
+  // Once the kernel socket buffers are full the responses pile up in
+  // the write queue past its 1 MiB bound and the server stops reading.
+  // A second wave sent while paused is read only after the client
+  // drains the queue, and every response arrives byte-exact and in
+  // order.
+  ServerOptions so;
+  so.num_loops = 1;
+  so.max_write_queue_bytes = 1u << 20;
+  ServerFixture fx(so);
+  const ObjectDescriptor desc = desc_of(42, 0);
+  const Bytes big = pattern_bytes(256u << 10, 11);
+  {
+    Client client(fx.client_options());
+    ASSERT_TRUE(client.put(desc, PayloadBuffer::copy_of(big)).ok());
+  }
+  const std::uint64_t frames_before = fx.server.stats().frames_in;
+
+  auto fd = connect_tcp("127.0.0.1", fx.server.port(), 2000);
+  ASSERT_TRUE(fd.ok()) << fd.status().to_string();
+  auto send_gets = [&](std::uint64_t first_id, std::uint64_t n) {
+    const Bytes body = encode_get_request(desc);
+    Bytes burst;
+    for (std::uint64_t id = first_id; id < first_id + n; ++id) {
+      FrameHeader h;
+      h.opcode = static_cast<std::uint8_t>(OpCode::kGet);
+      h.request_id = id;
+      h.body_len = static_cast<std::uint32_t>(body.size());
+      encode_frame_header(h, &burst);
+      burst.insert(burst.end(), body.begin(), body.end());
+    }
+    return send_all(fd->get(), burst, 2000);
+  };
+
+  constexpr std::uint64_t kWave1 = 64;  // 16 MiB of responses
+  constexpr std::uint64_t kWave2 = 8;
+  ASSERT_TRUE(send_gets(1, kWave1).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fx.server.stats().backpressure_pauses == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(fx.server.stats().backpressure_pauses, 1u);
+
+  ASSERT_TRUE(send_gets(kWave1 + 1, kWave2).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_LE(fx.server.stats().frames_in, frames_before + kWave1)
+      << "the server read a request while its reads were paused";
+
+  FrameAssembler assembler{FrameAssemblerOptions{}};
+  const auto read_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (std::uint64_t id = 1; id <= kWave1 + kWave2; ++id) {
+    while (!assembler.frame_ready()) {
+      auto n = recv_some(fd->get(), assembler.next_span(), read_deadline);
+      ASSERT_TRUE(n.ok()) << "response " << id << ": "
+                          << n.status().to_string();
+      ASSERT_TRUE(assembler.advance(*n).ok());
+    }
+    Frame frame = assembler.take_frame();
+    ASSERT_EQ(frame.header.request_id, id);
+    ASSERT_EQ(frame.header.code, status_to_wire(Status::Ok()));
+    auto resp = decode_get_response(frame.body);
+    ASSERT_TRUE(resp.ok()) << resp.status().to_string();
+    ASSERT_TRUE(resp->payload == big) << "response " << id;
+  }
+  EXPECT_GE(fx.server.stats().backpressure_pauses, 1u);
+  EXPECT_EQ(fx.server.stats().frames_in,
+            frames_before + kWave1 + kWave2);
 }
 
 TEST(RpcServer, RejectsOversizedFrameWithoutCrashing) {

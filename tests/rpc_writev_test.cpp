@@ -1,7 +1,8 @@
 // WriteQueue unit tests over real sockets: scatter-gather flushing
 // with partial writes forced mid-iovec (tiny SO_SNDBUF on a
 // socketpair), byte-exact stream reassembly, chunked segmenting of
-// large payloads, and the per-flush byte budget.
+// large payloads, and the per-flush byte budget. Also the client's
+// gathered blocking send_all over the same short-write conditions.
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rpc/socket.hpp"
 #include "rpc/write_queue.hpp"
 
 namespace corec::rpc {
@@ -244,6 +246,59 @@ TEST(WriteQueue, ErrorOnClosedPeer) {
   q.push(make_frame(28, 4096, 1));
   FlushDelta delta;
   EXPECT_EQ(q.flush(fds[0], &delta), FlushOutcome::kError);
+  ::close(fds[0]);
+}
+
+TEST(SendAll, GatheredPartsResumeAfterShortWrites) {
+  TinyPipe pipe;
+  Bytes received;
+  std::thread reader = drain_thread(pipe.read_fd, &received, 50);
+
+  // A frame head, an empty part, a payload far larger than the send
+  // buffer, and enough small parts that one sendmsg cannot gather them
+  // all: short writes land mid-part and on part boundaries.
+  const Bytes head = pattern_bytes(37, 1);
+  const Bytes empty;
+  const Bytes payload = pattern_bytes(256u << 10, 2);
+  std::vector<Bytes> tail;
+  for (int i = 0; i < 10; ++i) {
+    tail.push_back(pattern_bytes(3 + 97 * i, 10 + i));
+  }
+  const Status st = send_all(
+      pipe.write_fd,
+      {head, empty, payload, tail[0], tail[1], tail[2], tail[3], tail[4],
+       empty, tail[5], tail[6], tail[7], tail[8], tail[9]},
+      10000);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  ::close(pipe.write_fd);
+  pipe.write_fd = -1;
+  reader.join();
+
+  Bytes expected = head;
+  expected.insert(expected.end(), payload.begin(), payload.end());
+  for (const Bytes& t : tail) {
+    expected.insert(expected.end(), t.begin(), t.end());
+  }
+  ASSERT_EQ(received.size(), expected.size());
+  EXPECT_EQ(0, std::memcmp(received.data(), expected.data(),
+                           expected.size()));
+}
+
+TEST(SendAll, DeadlineFiresWhenPeerNeverReads) {
+  TinyPipe pipe;
+  const Bytes head = pattern_bytes(28, 3);
+  const Bytes payload = pattern_bytes(1u << 20, 4);
+  const Status st = send_all(pipe.write_fd, {head, payload}, 100);
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.to_string();
+}
+
+TEST(SendAll, ErrorOnClosedPeer) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  ::close(fds[1]);
+  const Bytes head = pattern_bytes(28, 5);
+  EXPECT_EQ(send_all(fds[0], {head, head}, 1000).code(),
+            StatusCode::kUnavailable);
   ::close(fds[0]);
 }
 

@@ -24,6 +24,7 @@
 #include <poll.h>
 
 #include "common/buffer.hpp"
+#include "common/checksum.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "erasure/codec.hpp"
@@ -723,9 +724,10 @@ int main(int argc, char** argv) {
   if (cli.calibrate) {
     service_opts.cost = net::CostModel::calibrated();
     std::fprintf(stderr,
-                 "calibrated gf_region_rate = %.3g B/s (kernel: %s)\n",
+                 "calibrated gf_region_rate = %.3g B/s (kernel: %s, "
+                 "crc32c kernel: %s)\n",
                  service_opts.cost.gf_region_rate,
-                 net::gf_kernel_in_use());
+                 net::gf_kernel_in_use(), crc32c_kernel_name());
   }
 
   MechanismParams params;

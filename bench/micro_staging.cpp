@@ -1,12 +1,13 @@
 // Microbenchmarks of the zero-copy data plane: replicated put (shared
 // payload buffers), region get (scatter/gather assembly), and the
 // replica→EC transition in token-serial, batched-pipelined, and
-// ring-pipelined form at RS(8,2). Counters expose the payload-traffic
-// invariants the buffers are meant to deliver — allocations and bytes
-// copied per object, CRC recomputes vs cache hits, max per-node bytes
-// on the wire and per-node encode CPU — so BENCH_staging.json tracks
-// copy-count and traffic-placement regressions PR over PR, not just
-// wall time.
+// ring-pipelined form at RS(8,2), plus metadata-directory churn and
+// latest-version lookup on one large version bucket. Counters expose
+// the payload-traffic invariants the buffers are meant to deliver —
+// allocations and bytes copied per object, CRC recomputes vs cache
+// hits, max per-node bytes on the wire and per-node encode CPU — so
+// BENCH_staging.json tracks copy-count and traffic-placement
+// regressions PR over PR, not just wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "core/pipelined_encoder.hpp"
 #include "resilience/primitives.hpp"
 #include "resilience/schemes.hpp"
+#include "staging/directory.hpp"
 #include "staging/service.hpp"
 
 namespace {
@@ -362,6 +364,59 @@ void BM_StripePrep(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(built * size));
 }
 BENCHMARK(BM_StripePrep)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
+
+/// One (var, version) bucket of n disjoint 8^3 blocks, as one S3D
+/// variable at one time step.
+std::vector<ObjectDescriptor> bucket_descs(std::size_t n) {
+  std::vector<ObjectDescriptor> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<std::int64_t>(i % 32) * 8;
+    const auto y = static_cast<std::int64_t>(i / 32 % 32) * 8;
+    const auto z = static_cast<std::int64_t>(i / 1024) * 8;
+    ObjectDescriptor desc;
+    desc.var = 1;
+    desc.box = corec::geom::BoundingBox::cube(x, y, z, x + 7, y + 7, z + 7);
+    out.push_back(desc);
+  }
+  return out;
+}
+
+/// Overwrite churn on a full bucket: each iteration removes one
+/// descriptor and re-registers it at the back of its bucket, the
+/// directory traffic of an entity rewrite or a demotion. Per-op time
+/// should not grow with the bucket size.
+void BM_DirectoryChurn(benchmark::State& state) {
+  const auto descs = bucket_descs(static_cast<std::size_t>(state.range(0)));
+  corec::staging::Directory dir;
+  corec::staging::ObjectLocation loc;
+  for (const auto& d : descs) dir.upsert(d, loc);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    i = (i + 7919) % descs.size();
+    benchmark::DoNotOptimize(dir.remove(descs[i]));
+    dir.upsert(descs[i], loc);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DirectoryChurn)->Arg(1024)->Arg(4096)->Arg(16384);
+
+/// Latest-version lookup of one block in a 4,096-entry bucket: the
+/// sequential scan every get pays. A node-based bucket shows here as
+/// one pointer chase per descriptor.
+void BM_DirectoryQueryLatest(benchmark::State& state) {
+  const auto descs = bucket_descs(static_cast<std::size_t>(state.range(0)));
+  corec::staging::Directory dir;
+  corec::staging::ObjectLocation loc;
+  for (const auto& d : descs) dir.upsert(d, loc);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    i = (i + 7919) % descs.size();
+    auto hits = dir.query_latest(1, 0, descs[i].box);
+    benchmark::DoNotOptimize(hits.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DirectoryQueryLatest)->Arg(4096);
 
 }  // namespace
 

@@ -1,17 +1,30 @@
 #include "core/classifier.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace corec::core {
 
 AccessClassifier::AccessClassifier(const ClassifierOptions& options)
     : options_(options) {}
 
-bool AccessClassifier::CellKey::operator<(const CellKey& o) const {
-  if (var != o.var) return var < o.var;
-  if (dims != o.dims) return dims < o.dims;
-  return std::memcmp(cell, o.cell, sizeof(cell)) < 0;
+bool AccessClassifier::CellKey::operator==(const CellKey& o) const {
+  return var == o.var && dims == o.dims &&
+         std::equal(cell, cell + dims, o.cell);
+}
+
+std::size_t AccessClassifier::CellKeyHash::operator()(
+    const CellKey& k) const {
+  // FNV-style mixing, as DescriptorHash.
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  mix(k.var);
+  for (std::size_t d = 0; d < k.dims; ++d) {
+    mix(static_cast<std::uint64_t>(k.cell[d]));
+  }
+  return static_cast<std::size_t>(h);
 }
 
 AccessClassifier::CellKey AccessClassifier::cell_of(

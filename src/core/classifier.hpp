@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -79,6 +78,8 @@ class AccessClassifier {
   /// Pool eviction prefers victims with the farthest predicted write.
   Version predicted_next_write(VarId var, const geom::BoundingBox& box,
                                Version step) const;
+  /// predicted_next_write for a record already looked up with find().
+  Version predicted_next(const AccessRecord& r, Version step) const;
   static constexpr Version kNeverVersion = 0xffffffffu;
 
   /// Per-step bookkeeping (frequency decay).
@@ -101,14 +102,16 @@ class AccessClassifier {
   }
 
   bool is_hot_record(const AccessRecord& r, Version step) const;
-  Version predicted_next(const AccessRecord& r, Version step) const;
 
   // Coarse spatial hash for neighbour queries.
   struct CellKey {
     VarId var;
     std::int64_t cell[geom::kMaxDims];
     std::size_t dims;
-    bool operator<(const CellKey& o) const;
+    bool operator==(const CellKey& o) const;
+  };
+  struct CellKeyHash {
+    std::size_t operator()(const CellKey& k) const;
   };
   CellKey cell_of(VarId var, const geom::Point& p) const;
   void index_insert(VarId var, const geom::BoundingBox& box);
@@ -117,7 +120,7 @@ class AccessClassifier {
 
   ClassifierOptions options_;
   std::unordered_map<Key, AccessRecord, staging::DescriptorHash> records_;
-  std::map<CellKey, std::vector<Key>> grid_;
+  std::unordered_map<CellKey, std::vector<Key>, CellKeyHash> grid_;
   geom::Coord cell_size_ = 0;  // derived from the first entity's box
   mutable std::uint64_t decisions_ = 0;
 };

@@ -116,11 +116,11 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   // than this entity, this entity itself transitions.
   if (!fits_floor(0, 0)) {
     const Version next = step + 1;
-    Version self_pred =
-        classifier_.predicted_next_write(obj.desc.var, obj.desc.box, next);
+    // record_write above registered this entity, so its record exists.
     const AccessRecord* self_rec =
         classifier_.find(obj.desc.var, obj.desc.box);
-    double self_freq = self_rec != nullptr ? self_rec->frequency : 0.0;
+    Version self_pred = classifier_.predicted_next(*self_rec, next);
+    double self_freq = self_rec->frequency;
 
     // Bounded victim sampling: scanning the whole pool on every write
     // is O(entities) and the sweep enforces the floor exactly anyway;
@@ -135,9 +135,10 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
     for (const ObjectDescriptor& desc : pool_) {
       if (examined++ >= kVictimSample) break;
       if (desc == obj.desc) continue;
-      Version pred =
-          classifier_.predicted_next_write(desc.var, desc.box, next);
       const AccessRecord* rec = classifier_.find(desc.var, desc.box);
+      Version pred = rec != nullptr
+                         ? classifier_.predicted_next(*rec, next)
+                         : AccessClassifier::kNeverVersion;
       double freq = rec != nullptr ? rec->frequency : 0.0;
       bool colder = pred > victim_pred ||
                     (pred == victim_pred && freq < victim_freq);
@@ -389,10 +390,10 @@ void CorecScheme::end_of_step(Version step, SimTime now) {
   std::vector<PoolEntry> encoded;
   service_->directory().for_each([&](const ObjectDescriptor& desc,
                                      const ObjectLocation& loc) {
-    const AccessRecord* rec =
-        classifier_.find(desc.var, desc.box);
+    const AccessRecord* rec = classifier_.find(desc.var, desc.box);
     PoolEntry e{desc,
-                classifier_.predicted_next_write(desc.var, desc.box, next),
+                rec != nullptr ? classifier_.predicted_next(*rec, next)
+                               : AccessClassifier::kNeverVersion,
                 rec != nullptr ? rec->frequency : 0.0};
     if (loc.protection == Protection::kReplicated) {
       pool.push_back(e);

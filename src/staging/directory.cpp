@@ -6,29 +6,44 @@ namespace corec::staging {
 
 void Directory::upsert(const ObjectDescriptor& desc,
                        ObjectLocation location) {
-  auto [it, inserted] = locations_.insert_or_assign(desc, location);
-  (void)it;
-  if (inserted) {
-    by_version_[{desc.var, desc.version}].push_back(desc);
-    entities_[entity_key(desc.var, desc.box)] = desc;
-  }
+  auto [it, inserted] = locations_.try_emplace(desc);
+  it->second.loc = std::move(location);
+  if (!inserted) return;
+  auto& slots = by_version_[{desc.var, desc.version}].slots;
+  it->second.slot = slots.size();
+  slots.push_back({desc, true});
+  entities_[entity_key(desc.var, desc.box)] = desc;
 }
 
 bool Directory::remove(const ObjectDescriptor& desc) {
   auto it = locations_.find(desc);
   if (it == locations_.end()) return false;
+  const std::size_t slot = it->second.slot;
   locations_.erase(it);
   auto vit = by_version_.find({desc.var, desc.version});
-  if (vit != by_version_.end()) {
-    auto& vec = vit->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), desc), vec.end());
-    if (vec.empty()) by_version_.erase(vit);
+  Bucket& bucket = vit->second;
+  bucket.slots[slot].live = false;
+  if (++bucket.dead == bucket.slots.size()) {
+    by_version_.erase(vit);
+  } else if (bucket.dead * 2 > bucket.slots.size()) {
+    compact(bucket);
   }
   auto eit = entities_.find(entity_key(desc.var, desc.box));
   if (eit != entities_.end() && eit->second == desc) {
     entities_.erase(eit);
   }
   return true;
+}
+
+void Directory::compact(Bucket& bucket) {
+  auto& slots = bucket.slots;
+  slots.erase(std::remove_if(slots.begin(), slots.end(),
+                             [](const Slot& s) { return !s.live; }),
+              slots.end());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    locations_.find(slots[i].desc)->second.slot = i;
+  }
+  bucket.dead = 0;
 }
 
 const ObjectDescriptor* Directory::find_entity(
@@ -39,12 +54,12 @@ const ObjectDescriptor* Directory::find_entity(
 
 const ObjectLocation* Directory::find(const ObjectDescriptor& desc) const {
   auto it = locations_.find(desc);
-  return it == locations_.end() ? nullptr : &it->second;
+  return it == locations_.end() ? nullptr : &it->second.loc;
 }
 
 ObjectLocation* Directory::find_mutable(const ObjectDescriptor& desc) {
   auto it = locations_.find(desc);
-  return it == locations_.end() ? nullptr : &it->second;
+  return it == locations_.end() ? nullptr : &it->second.loc;
 }
 
 std::vector<ObjectDescriptor> Directory::query(
@@ -52,8 +67,8 @@ std::vector<ObjectDescriptor> Directory::query(
   std::vector<ObjectDescriptor> out;
   auto it = by_version_.find({var, version});
   if (it == by_version_.end()) return out;
-  for (const auto& desc : it->second) {
-    if (desc.box.intersects(region)) out.push_back(desc);
+  for (const auto& [desc, live] : it->second.slots) {
+    if (live && desc.box.intersects(region)) out.push_back(desc);
   }
   return out;
 }
@@ -72,11 +87,12 @@ std::vector<ObjectDescriptor> Directory::query_latest(
   bool exact = true;
   auto lo = by_version_.lower_bound({var, 0});
   auto hi = by_version_.upper_bound({var, version});
-  std::vector<const std::vector<ObjectDescriptor>*> buckets;
+  std::vector<const Bucket*> buckets;
   for (auto it = lo; it != hi; ++it) buckets.push_back(&it->second);
   for (auto bit = buckets.rbegin(); bit != buckets.rend(); ++bit) {
     if (exact && uncovered.empty()) break;
-    for (const auto& desc : **bit) {
+    for (const auto& [desc, live] : (*bit)->slots) {
+      if (!live) continue;
       if (!exact) {
         if (desc.box.intersects(region)) out.push_back(desc);
         continue;

@@ -98,7 +98,7 @@ class Directory {
   /// Iterate every (descriptor, location).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [desc, loc] : locations_) fn(desc, loc);
+    for (const auto& [desc, entry] : locations_) fn(desc, entry.loc);
   }
 
  private:
@@ -107,11 +107,26 @@ class Directory {
     return ObjectDescriptor{var, 0, box, kWholeObject};
   }
 
-  std::unordered_map<ObjectDescriptor, ObjectLocation, DescriptorHash>
-      locations_;
-  // (var, version) -> descriptors, for geometric queries.
-  std::map<std::pair<VarId, Version>, std::vector<ObjectDescriptor>>
-      by_version_;
+  struct Entry {
+    ObjectLocation loc;
+    std::size_t slot = 0;  // index of the descriptor in its bucket
+  };
+  struct Slot {
+    ObjectDescriptor desc;
+    bool live = true;
+  };
+  // One (var, version) bucket: descriptors in insertion order, removed
+  // ones tombstoned in place. Queries visit pieces in this order and the
+  // simulated outcome depends on it, so compaction must be stable.
+  struct Bucket {
+    std::vector<Slot> slots;
+    std::size_t dead = 0;
+  };
+  void compact(Bucket& bucket);
+
+  std::unordered_map<ObjectDescriptor, Entry, DescriptorHash> locations_;
+  // (var, version) -> bucket, for geometric queries.
+  std::map<std::pair<VarId, Version>, Bucket> by_version_;
   // Normalized (var, box) -> live descriptor.
   std::unordered_map<ObjectDescriptor, ObjectDescriptor, DescriptorHash>
       entities_;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace corec::core {
 namespace {
 
@@ -176,6 +178,42 @@ TEST(Classifier, ManyEntitiesSpatialIndexScales) {
   EXPECT_FALSE(c.is_hot(1, far, 10));
 }
 
+// The spatial grid buckets entities by the floor-divided cell of their
+// lo() corner. Blocks on both sides of zero, and two variables whose
+// boxes fall in identical cells, must mark exactly the brute-force
+// neighbour set: same variable, other box, Chebyshev gap <= radius.
+TEST(Classifier, SpatialGridAcrossZeroAndVariables) {
+  ClassifierOptions opts;
+  opts.cold_after = 1;
+  opts.spatial_radius = 1;
+  opts.prediction_ttl = 2;
+  AccessClassifier c(opts);
+  std::vector<geom::BoundingBox> boxes;
+  for (geom::Coord x = -4; x < 4; ++x) {
+    for (geom::Coord y = -4; y < 4; ++y) {
+      boxes.push_back(geom::BoundingBox::cube(x * 8, y * 8, -4, x * 8 + 7,
+                                              y * 8 + 7, 3));
+    }
+  }
+  for (const auto& b : boxes) {
+    c.record_write(1, b, 0);
+    c.record_write(2, b, 0);
+  }
+  Version step = 10;
+  for (geom::Coord written : {0, 27, 28, 35, 36, 63}) {
+    const geom::BoundingBox& w = boxes[static_cast<std::size_t>(written)];
+    c.record_write(1, w, step);
+    for (const auto& b : boxes) {
+      const bool expect =
+          !(b == w) && b.chebyshev_gap(w) <= opts.spatial_radius;
+      EXPECT_EQ(c.find(1, b)->predicted_hot_until == step + 2, expect)
+          << "written " << w.to_string() << " box " << b.to_string();
+      EXPECT_LT(c.find(2, b)->predicted_hot_until, step)
+          << "var 2 box " << b.to_string();
+    }
+    step += 10;
+  }
+}
 
 TEST(Classifier, ReadsIgnoredByDefault) {
   ClassifierOptions opts;

@@ -131,8 +131,15 @@ Status FrameAssembler::parse() {
       // (rotation carries this remnant if the buffer fills first).
       return Status::Ok();
     }
-    // Large body mid-flight: assemble it directly in its own pooled
-    // allocation so it neither pins the read buffer nor overflows it.
+    if (body_len <= chunk_ - parsed_ - kFrameHeaderBytes) {
+      // Large body that fits in the buffer's free tail: keep reading
+      // into it, so it becomes the same zero-copy slice it would have
+      // been had the whole frame arrived in one recv. The frame
+      // completes before the buffer fills, so no rotation carries it.
+      return Status::Ok();
+    }
+    // Large body that would overflow the read buffer: assemble it
+    // directly in its own pooled allocation.
     direct_block_ = slab::allocate(body_len);
     std::memcpy(direct_block_.data(), base_ + parsed_ + kFrameHeaderBytes,
                 body_avail);

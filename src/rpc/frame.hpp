@@ -10,11 +10,12 @@
 // frames per read — all shapes). It recv()s into a pooled read buffer
 // (read_chunk_bytes at a time) and slices every complete frame out of
 // it per advance(), so a pipelined burst costs one syscall for many
-// frames. Small bodies are zero-copy refcounted sub-views of the read
+// frames. Bodies are zero-copy refcounted sub-views of the read
 // buffer — the buffer is parked until the last sliced body releases
-// it — while bodies above inline_body_cutover that are still
-// mid-flight switch to a direct pool allocation so a multi-MiB put
-// never pins (or overflows) the read buffer.
+// it — as long as their frame fits in the buffer's free tail; a body
+// above inline_body_cutover that is still mid-flight and would
+// overflow the buffer switches to a direct pool allocation, so a
+// multi-MiB put never pins (or overflows) the read buffer.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,10 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 64ull << 20;
 inline constexpr std::size_t kDefaultReadChunkBytes = 256u << 10;
 
 /// Default cutover: a body at most this large assembles inside the
-/// read buffer (zero-copy slice); a larger body still mid-flight
-/// switches to its own direct allocation.
+/// read buffer (zero-copy slice), carried across a buffer rotation if
+/// need be; a larger body still mid-flight stays in the buffer only
+/// while its frame fits in the free tail, else it switches to its own
+/// direct allocation.
 inline constexpr std::size_t kDefaultInlineBodyCutover = 64u << 10;
 
 /// Fixed per-frame metadata.
@@ -89,7 +92,8 @@ struct FrameAssemblerOptions {
   /// Pooled read-buffer size; raised to a floor that always leaves
   /// room for a header plus an inline body.
   std::size_t read_chunk_bytes = kDefaultReadChunkBytes;
-  /// Largest body assembled in place inside the read buffer.
+  /// Largest body assembled in place whatever its offset in the read
+  /// buffer; larger ones stay in place only if their frame fits.
   std::size_t inline_body_cutover = kDefaultInlineBodyCutover;
 };
 
@@ -135,8 +139,8 @@ class FrameAssembler {
   // by outstanding body slices.
   void ensure_buffer();
   // Slices every complete frame out of [parsed_, filled_), switching
-  // to direct assembly for large mid-flight bodies. Poisons on
-  // malformed headers.
+  // to direct assembly for large mid-flight bodies that would overflow
+  // the read buffer. Poisons on malformed headers.
   Status parse();
 
   FrameAssemblerOptions opts_;

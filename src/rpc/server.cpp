@@ -174,10 +174,11 @@ void Server::on_accept() {
     }
     if (auto hit = COREC_FAILPOINT("rpc.server.accept_limit")) {
       // Simulated fd exhaustion: the descriptor table is "full", so
-      // drop this fd and park the acceptor like a real EMFILE.
+      // drop this fd and park the acceptor like a real EMFILE. Park
+      // before closing, so a peer that sees the drop also sees the pause.
       injected_failures_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
       pause_accept();
+      ::close(fd);
       return;
     }
     if (!set_nonblocking(fd).ok() || !set_nodelay(fd).ok()) {

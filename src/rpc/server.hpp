@@ -10,9 +10,9 @@
 // Read path: each connection recv()s into a pooled read buffer
 // (kDefaultReadChunkBytes), so a pipelined burst of small frames costs
 // one data-bearing syscall for many frames (recv_syscalls_per_frame <
-// 1). Small request bodies arrive as zero-copy slices of that buffer;
-// bodies above kDefaultInlineBodyCutover assemble directly into their
-// own pooled allocation. Stored put payloads are compacted off the read
+// 1). Request bodies whose frame fits in that buffer arrive as
+// zero-copy slices of it; larger bodies above kDefaultInlineBodyCutover
+// assemble directly into their own pooled allocation. Stored put payloads are compacted off the read
 // buffer when the slice would park a mostly-idle store.
 //
 // Data-path zero-copy both ways:

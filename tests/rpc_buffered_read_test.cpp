@@ -199,7 +199,7 @@ TEST(BufferedAssembler, FramesSplitAtEveryByteOffsetAcrossRefills) {
       pattern_bytes(1, 11),     // 1 B
       pattern_bytes(37, 12),    // small
       pattern_bytes(64, 13),    // exactly the cutover
-      pattern_bytes(150, 14),   // > cutover: direct mode
+      pattern_bytes(150, 14),   // > cutover: direct unless it fits
       pattern_bytes(500, 15),   // > chunk: direct mode across refills
       pattern_bytes(3, 16),     // small after a direct body
   };
@@ -317,6 +317,31 @@ TEST(BufferedAssembler, LargeBodyAssemblesDirectlyWithoutPinning) {
   EXPECT_EQ(frames[0].body.store_size(), big.size());
   EXPECT_FALSE(frames[0].body.shares_with(frames[1].body));
   EXPECT_TRUE(frames[1].body == pattern_bytes(10, 43));
+}
+
+// A body above the cutover whose frame fits in the read buffer must not
+// depend on TCP segmentation: delivered in many pieces it still ends up
+// the same zero-copy slice as when the frame arrives in one recv.
+TEST(BufferedAssembler, SplitLargeBodyThatFitsStaysInReadBuffer) {
+  FrameAssemblerOptions opts;
+  opts.read_chunk_bytes = 8192;
+  opts.inline_body_cutover = 1024;
+  FrameAssembler assembler(opts);
+
+  const Bytes big = pattern_bytes(5000, 44);
+  Bytes stream;
+  append_frame(&stream, 11, big);
+  append_frame(&stream, 12, pattern_bytes(10, 45));
+
+  const auto& pm = payload_metrics();
+  const std::uint64_t copied0 = pm.bytes_copied.load();
+  std::vector<Frame> frames = feed(assembler, stream, 700);
+  ASSERT_EQ(frames.size(), 2u);
+  ASSERT_TRUE(frames[0].body == big);
+  EXPECT_EQ(pm.bytes_copied.load(), copied0)
+      << "a split body that fits was copied out of the read buffer";
+  EXPECT_EQ(frames[0].body.store_size(), 8192u);
+  EXPECT_TRUE(frames[0].body.shares_with(frames[1].body));
 }
 
 // ---- poisoning -----------------------------------------------------------

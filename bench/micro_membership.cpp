@@ -29,7 +29,6 @@ using corec::Bytes;
 using corec::ServerId;
 using corec::VarId;
 using corec::staging::DataObject;
-using corec::staging::FabricOptions;
 using corec::staging::ObjectDescriptor;
 using corec::staging::StoredKind;
 using corec::staging::ThreadFabric;
@@ -108,11 +107,10 @@ Profile measure_reads(ThreadFabric& fabric, const Config& cfg,
         x ^= x << 17;
         const ObjectDescriptor desc =
             desc_of(static_cast<std::size_t>(x % cfg.objects));
-        // Client-visible latency: like the RPC client on a stale-map
-        // redirect, a reader whose routed lookup races a concurrent
-        // migration re-routes under the newer map and retries. The
-        // clock keeps running across retries — that tail IS the cost
-        // the rebuild imposes on clients.
+        // Client-visible latency: a routed lookup that meets a
+        // transition waits for it, and a miss would re-route and
+        // retry. The clock keeps running across both — that tail IS
+        // the cost the rebuild imposes on clients.
         const auto t0 = Clock::now();
         bool ok = false;
         for (int attempt = 0; attempt < 8; ++attempt) {
@@ -160,9 +158,7 @@ int main(int argc, char** argv) {
     else { std::fprintf(stderr, "unknown flag %s\n", flag.c_str()); return 2; }
   }
 
-  FabricOptions fopts;
-  fopts.pool_dispatch = true;
-  ThreadFabric fabric(cfg.servers, fopts);
+  ThreadFabric fabric(cfg.servers);
 
   Bytes payload(cfg.payload_bytes);
   for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -250,9 +246,9 @@ int main(int argc, char** argv) {
   std::printf("\"final_map_version\": %llu\n",
               static_cast<unsigned long long>(fabric.map_version()));
   std::printf("}\n");
-  // With re-route retries a read can never come up empty: migration
-  // publishes copies before retiring old ones, so some map version
-  // always serves the object.
+  // A read can never come up empty: a transition moves entries and
+  // publishes the new map as one step under the fabric's membership
+  // lock.
   if (steady.misses != 0 || rebuild.misses != 0) {
     std::fprintf(stderr, "FAIL: %llu reads missed during rebalance\n",
                  static_cast<unsigned long long>(steady.misses +

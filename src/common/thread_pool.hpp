@@ -1,6 +1,6 @@
-// Fixed-size worker pool. Backs the ThreadFabric's async dispatch
-// (src/staging/thread_fabric.hpp), the batched encoder's stripe
-// preparation, and parallel encode sweeps in benches.
+// Fixed-size worker pool. Backs the batched encoder's stripe
+// preparation, the RPC client's callback-async API, and parallel
+// encode sweeps in benches.
 #pragma once
 
 #include <condition_variable>

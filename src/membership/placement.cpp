@@ -33,11 +33,22 @@ std::vector<ServerId> place(const PoolMap& map, std::uint64_t object_key,
   return out;
 }
 
-ServerId place_one(const PoolMap& map, std::uint64_t object_key,
-                   std::size_t index) {
-  std::vector<ServerId> ranked = place(map, object_key, index + 1);
-  if (ranked.size() <= index) return kInvalidServer;
-  return ranked[index];
+ServerId place_one(const PoolMap& map, std::uint64_t object_key) {
+  ServerId best = kInvalidServer;
+  std::uint64_t best_score = 0;
+  for (const PoolTarget& t : map.targets()) {
+    if (t.state != TargetState::kUp && t.state != TargetState::kJoining) {
+      continue;
+    }
+    const std::uint64_t score = placement_score(object_key, t.id);
+    // Same total order as place(): higher score wins, ties to lower id.
+    if (best == kInvalidServer || score > best_score ||
+        (score == best_score && t.id < best)) {
+      best = t.id;
+      best_score = score;
+    }
+  }
+  return best;
 }
 
 }  // namespace corec::membership

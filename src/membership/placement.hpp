@@ -52,9 +52,8 @@ constexpr std::uint64_t placement_score(std::uint64_t object_key,
 std::vector<ServerId> place(const PoolMap& map, std::uint64_t object_key,
                             std::size_t count);
 
-/// Single-shard convenience: the rank-`index` target of the ranking
-/// (kInvalidServer when fewer than index+1 targets are eligible).
-ServerId place_one(const PoolMap& map, std::uint64_t object_key,
-                   std::size_t index = 0);
+/// The primary alone: `place(map, object_key, 1)[0]` as one argmax
+/// scan with no allocation (kInvalidServer when no target is eligible).
+ServerId place_one(const PoolMap& map, std::uint64_t object_key);
 
 }  // namespace corec::membership

@@ -80,16 +80,13 @@ Status Server::start() {
 
 void Server::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Stop accepting first, then wait for pool-dispatched ops to post
-  // their completions (the loops are still running to absorb them),
-  // then wind the loops down.
+  // Stop accepting first, then wind the loops down.
   loops_[0]->loop->post([this] {
     if (listen_fd_.valid()) {
       loops_[0]->loop->remove(listen_fd_.get());
       listen_fd_.reset();
     }
   });
-  fabric_.drain();
   for (auto& shard : loops_) shard->loop->stop();
   for (auto& shard : loops_) {
     if (shard->thread.joinable()) shard->thread.join();
@@ -353,24 +350,7 @@ void Server::handle_frame(const ConnPtr& conn, Frame frame) {
                        Status::Unavailable("injected dispatch failure")));
     return;
   }
-  if (!options_.pool_dispatch) {
-    enqueue_response(conn, execute(frame.header, frame.body));
-    return;
-  }
-  // Pool dispatch: the op runs on a fabric worker; the completion hops
-  // back onto the owning loop thread, which owns the connection state.
-  conn->inflight += 1;
-  fabric_.pool().submit(
-      [this, conn, header = frame.header, body = std::move(frame.body)] {
-        OutFrame response = execute(header, body);
-        loop_of(conn).post(
-            [this, conn, response = std::move(response)]() mutable {
-              conn->inflight -= 1;
-              if (conn->closed) return;
-              enqueue_response(conn, std::move(response));
-              flush_writes(conn);
-            });
-      });
+  enqueue_response(conn, execute(frame.header, frame.body));
 }
 
 bool Server::stale_map(const FrameHeader& header) const {
@@ -426,8 +406,8 @@ OutFrame Server::execute(const FrameHeader& header,
       }
       DataObject obj = DataObject::with_checksum(
           req->desc, payload, req->checksum);
-      const ServerId primary = fabric_.route(req->desc);
-      Status st = fabric_.put(primary, std::move(obj), req->kind);
+      ServerId primary = kInvalidServer;
+      Status st = fabric_.put(std::move(obj), req->kind, &primary);
       if (st.ok()) {
         ObjectLocation loc;
         loc.primary = primary;

@@ -2,10 +2,8 @@
 // ThreadFabric. The acceptor (loop 0) hands each incoming fd to the
 // loop with the fewest live connections; from then on that loop owns
 // the connection's state machine exclusively — frame reassembly in,
-// coalesced write queue out — with no cross-loop locking. Operations
-// execute either inline on the owning loop thread (sync dispatch) or
-// on the fabric's worker pool, with completions posted back to the
-// *owning* loop through its eventfd.
+// coalesced write queue out — with no cross-loop locking. Every
+// operation executes inline on the connection's owning loop thread.
 //
 // Read path: each connection recv()s into a pooled read buffer
 // (kDefaultReadChunkBytes), so a pipelined burst of small frames costs
@@ -62,10 +60,6 @@ struct ServerOptions {
   /// Fabric shape fronted by this server.
   std::size_t num_servers = 4;
   staging::FabricOptions fabric;
-  /// false: ops run inline on the owning loop thread (lowest latency);
-  /// true: ops dispatch onto the fabric worker pool (loop threads never
-  /// block on a store lock).
-  bool pool_dispatch = false;
   /// Epoll event-loop shards; 0 = min(hardware_concurrency, 4). The
   /// acceptor assigns each new connection to the least-loaded loop.
   std::size_t num_loops = 0;
@@ -173,7 +167,6 @@ class Server {
     bool reads_paused = false;
     bool closed = false;
     std::uint32_t interest = 0;  // epoll event mask registered for fd
-    std::uint64_t inflight = 0;  // pool-dispatched ops not yet completed
   };
   using ConnPtr = std::shared_ptr<Connection>;
 

@@ -1,14 +1,12 @@
 // ThreadFabric — the real-thread dispatcher for a staging deployment
 // (as opposed to the virtual-time StagingService, which is
 // single-threaded by construction). It hosts one ShardedObjectStore
-// per staging server plus one entity-sharded metadata directory, and
-// drives put/get/erase through them from many client threads:
-//
-//   * synchronously — clients call put/get/erase from their own
-//     threads; lock striping keeps unrelated keys contention-free and
-//     reads hand back refcounted payload views (zero-copy);
-//   * asynchronously — ops are dispatched onto the fabric's worker
-//     pool with a completion callback, and drain() joins them.
+// per staging server plus one entity-sharded metadata directory.
+// Clients call put/get/erase from their own threads; lock striping
+// keeps unrelated keys contention-free and reads hand back refcounted
+// payload views (zero-copy). Routed ops place each object by rank-0
+// HRW over the fabric's versioned pool map, so join_server() and
+// drain_server() move only the entries whose home changed.
 //
 // Contention health is observable: shard_metrics() aggregates lock
 // acquisitions, contended acquisitions and max shard occupancy across
@@ -17,13 +15,11 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <vector>
 
 #include "common/buffer.hpp"
-#include "common/thread_pool.hpp"
 #include "membership/pool_map.hpp"
 #include "staging/sharded_store.hpp"
 
@@ -34,12 +30,6 @@ struct FabricOptions {
   std::size_t store_shards = 0;      // per-server shards (0 = auto)
   std::size_t directory_shards = 0;  // metadata shards (0 = auto)
   std::size_t server_capacity = 0;   // bytes per server (0 = unlimited)
-  std::size_t workers = 0;           // async dispatch threads (0 = auto)
-  /// Route through the versioned pool map (HRW placement) instead of
-  /// the static modulo hash. Required for join_server()/drain_server()
-  /// migration semantics; off by default so existing deployments keep
-  /// their byte-identical placement.
-  bool pool_dispatch = false;
 };
 
 /// Operation counters (relaxed; exact at quiesce).
@@ -59,7 +49,7 @@ class ThreadFabric {
   ThreadFabric(const ThreadFabric&) = delete;
   ThreadFabric& operator=(const ThreadFabric&) = delete;
 
-  // ---- synchronous ops (any client thread) ------------------------------
+  // ---- ops (any client thread) ------------------------------------------
 
   Status put(ServerId server, DataObject object, StoredKind kind);
 
@@ -72,36 +62,24 @@ class ThreadFabric {
 
   // ---- routed conveniences ----------------------------------------------
 
-  /// Deterministic hash placement of a descriptor onto a server (the
-  /// fabric has no SFC; simulation-faithful routing stays with
+  /// Home of `desc`'s base entity: rank-0 HRW over the published pool
+  /// map (the fabric has no SFC; simulation-faithful routing stays with
   /// StagingService).
   ServerId route(const ObjectDescriptor& desc) const;
 
-  Status put(DataObject object, StoredKind kind);
+  /// Routed put; `*home` (when non-null) receives the server it went to.
+  Status put(DataObject object, StoredKind kind, ServerId* home = nullptr);
   StatusOr<StoredObject> get(const ObjectDescriptor& desc) const;
   bool erase(const ObjectDescriptor& desc);
 
-  // ---- async dispatch ----------------------------------------------------
-
-  /// Dispatches the op onto the worker pool; `done` (optional) runs on
-  /// the worker after the op completes.
-  void async_put(ServerId server, DataObject object, StoredKind kind,
-                 std::function<void(Status)> done = nullptr);
-  void async_get(ServerId server, ObjectDescriptor desc,
-                 std::function<void(StatusOr<StoredObject>)> done);
-  void async_erase(ServerId server, ObjectDescriptor desc,
-                   std::function<void(bool)> done = nullptr);
-
-  /// Blocks until every dispatched op has completed.
-  void drain() { pool_.wait_idle(); }
-
-  // ---- elastic membership (pool_dispatch mode) ---------------------------
+  // ---- elastic membership ------------------------------------------------
   //
-  // Transitions are caller-serialized: run one join/drain at a time.
-  // Routed ops stay live throughout — migration copies entries to their
-  // new homes FIRST, publishes the new map, re-conforms whatever raced
-  // in under the old map, and only then erases stale copies, so a
-  // concurrent routed get never misses.
+  // A transition holds the membership lock exclusively while it moves
+  // every entry whose home changed and publishes the new map. Routed
+  // ops wait for it, so each one sees either the old placement with
+  // every entry at its old home or the new placement with every entry
+  // moved: a routed get never misses and no write lands on a retired
+  // home.
 
   /// Newest published map version (lock-free; the RPC server's
   /// staleness fast path).
@@ -116,9 +94,9 @@ class ThreadFabric {
   /// bodies and MAP_GET responses).
   Bytes map_blob() const;
 
-  /// Grows the fabric by one server and — in pool_dispatch mode —
-  /// rebalances the minimal set of entries onto it (JOINING -> migrate
-  /// -> UP, two map versions). Returns the new server id.
+  /// Grows the fabric by one server and rebalances the minimal set of
+  /// entries onto it (JOINING -> migrate -> UP, two map versions).
+  /// Returns the new server id.
   ServerId join_server();
 
   /// Migrates every entry off `target` and retires it (DRAIN ->
@@ -138,7 +116,6 @@ class ThreadFabric {
   }
   ShardedDirectory& directory() { return directory_; }
   const ShardedDirectory& directory() const { return directory_; }
-  ThreadPool& pool() { return pool_; }
 
   // ---- rollups (never take a lock) ---------------------------------------
 
@@ -160,23 +137,21 @@ class ThreadFabric {
   /// Routed home of `desc`'s base entity under `map`.
   ServerId home_under(const membership::PoolMap& map,
                       const ObjectDescriptor& desc) const;
-  /// Copies every entry whose home under `map` differs from where it
-  /// sits to that home. Returns the number of entries copied.
-  std::size_t conform_pass(const membership::PoolMap& map);
-  /// Erases entries whose home under `map` differs from where they sit,
-  /// but only once the home already holds them (idempotent, safe after
-  /// conform_pass). Returns the number erased.
-  std::size_t retire_pass(const membership::PoolMap& map);
-  /// Publishes `next` as the routing map (unique lock + version store).
-  void publish(membership::PoolMap next);
+  /// Moves every entry whose home under `map` differs from where it
+  /// sits to that home. Caller holds membership_mu_ exclusively.
+  void rehome(const membership::PoolMap& map);
+  /// The counted store ops behind both the addressed and routed forms.
+  Status put_to(ShardedObjectStore& store, DataObject object,
+                StoredKind kind);
+  StatusOr<StoredObject> get_from(const ShardedObjectStore& store,
+                                  const ObjectDescriptor& desc) const;
+  bool erase_from(ShardedObjectStore& store, const ObjectDescriptor& desc);
 
   std::vector<std::unique_ptr<ShardedObjectStore>> stores_;
   ShardedDirectory directory_;
-  ThreadPool pool_;
   FabricOptions options_;
-  bool pool_dispatch_;
-  /// Guards stores_ growth and map_ publication; routed ops take it
-  /// shared for the pointer/ranking lookup only.
+  /// Guards stores_ growth and map_ publication; routed ops hold it
+  /// shared across the ranking lookup and the store op.
   mutable std::shared_mutex membership_mu_;
   membership::PoolMap map_;
   std::atomic<std::uint64_t> map_version_{0};

@@ -55,6 +55,29 @@ TEST(Placement, RankingIsDistinctServers) {
   }
 }
 
+TEST(Placement, PlaceOneIsRankZeroOfPlace) {
+  // The allocation-free primary scan must agree with the full ranking
+  // on maps holding targets in every state, including a map with no
+  // placement-eligible target at all.
+  PoolMap mixed = PoolMap::initial(12, 4, 1);
+  ASSERT_TRUE(mixed.set_state(1, TargetState::kDrain).ok());
+  ASSERT_TRUE(mixed.set_state(6, TargetState::kDrain).ok());
+  ASSERT_TRUE(mixed.set_state(3, TargetState::kDown).ok());
+  ASSERT_TRUE(mixed.set_state(9, TargetState::kDown).ok());
+  mixed.add_target(3, 0);  // JOINING
+  mixed.add_target(3, 1);  // JOINING
+  PoolMap none = PoolMap::initial(2, 2, 1);
+  ASSERT_TRUE(none.set_state(0, TargetState::kDrain).ok());
+  ASSERT_TRUE(none.set_state(1, TargetState::kDown).ok());
+  for (const PoolMap* map : {&mixed, &none}) {
+    for (std::size_t i = 0; i < kObjects; ++i) {
+      const auto ranked = place(*map, key_of(i), 1);
+      const ServerId expect = ranked.empty() ? kInvalidServer : ranked[0];
+      ASSERT_EQ(place_one(*map, key_of(i)), expect) << "key " << i;
+    }
+  }
+}
+
 TEST(Placement, BalancedChiSquare) {
   // Per-target primary counts at 10k objects: chi-square against the
   // uniform expectation stays under the p=0.001 critical value for
@@ -63,7 +86,7 @@ TEST(Placement, BalancedChiSquare) {
   PoolMap map = PoolMap::initial(kTargets, 4, 1);
   std::vector<std::size_t> counts(kTargets, 0);
   for (std::size_t i = 0; i < kObjects; ++i) {
-    ServerId s = place_one(map, key_of(i), 0);
+    ServerId s = place_one(map, key_of(i));
     ASSERT_LT(s, kTargets);
     ++counts[s];
   }
@@ -86,7 +109,7 @@ TEST(Placement, JoinMovesMinimalFraction) {
   after.add_target(0, 0);
   std::size_t moved = 0, naive_moved = 0;
   for (std::size_t i = 0; i < kObjects; ++i) {
-    if (place_one(before, key_of(i), 0) != place_one(after, key_of(i), 0)) {
+    if (place_one(before, key_of(i)) != place_one(after, key_of(i))) {
       ++moved;
     }
     if (key_of(i) % 16 != key_of(i) % 17) ++naive_moved;
@@ -104,8 +127,8 @@ TEST(Placement, DrainMovesOnlyTheDrainedTargetsKeys) {
   PoolMap after = before;
   ASSERT_TRUE(after.set_state(5, TargetState::kDrain).ok());
   for (std::size_t i = 0; i < kObjects; ++i) {
-    ServerId was = place_one(before, key_of(i), 0);
-    ServerId now = place_one(after, key_of(i), 0);
+    ServerId was = place_one(before, key_of(i));
+    ServerId now = place_one(after, key_of(i));
     if (was == 5) {
       EXPECT_NE(now, 5u);
     } else {

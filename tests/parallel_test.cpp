@@ -312,8 +312,7 @@ TEST(ThreadFabric, ReplayMatchesSingleThreadedPath) {
   }
 
   staging::ThreadFabric fabric(kServers, {.store_shards = 8,
-                                          .directory_shards = 8,
-                                          .workers = 2});
+                                          .directory_shards = 8});
   // Single-threaded reference over plain per-server stores + directory,
   // using the fabric's own routing so placement matches.
   std::vector<staging::ObjectStore> ref_stores(kServers);
@@ -403,29 +402,47 @@ TEST(ThreadFabric, ReplayMatchesSingleThreadedPath) {
     });
     EXPECT_TRUE(bytes_equal) << "server " << s;
   }
-}
-
-TEST(ThreadFabric, AsyncOpsCompleteOnDrain) {
-  staging::ThreadFabric fabric(2, {.workers = 3});
-  constexpr int kObjects = 200;
-  std::atomic<int> acked{0};
-  for (int i = 0; i < kObjects; ++i) {
-    fabric.async_put(
-        static_cast<ServerId>(i % 2),
-        staging::DataObject::real(stress_desc(i),
-                                  PayloadBuffer::wrap(stress_payload(i, 64))),
-        staging::StoredKind::kPrimary,
-        [&](Status st) { acked.fetch_add(st.ok() ? 1 : 0); });
-  }
-  fabric.drain();
-  EXPECT_EQ(acked.load(), kObjects);
-  EXPECT_EQ(fabric.total_objects(), static_cast<std::size_t>(kObjects));
-  EXPECT_EQ(fabric.stats().puts, static_cast<std::uint64_t>(kObjects));
 
   // Process-wide aggregate sees this fabric's stripes while it lives.
   const auto global = shard_metrics();
   EXPECT_GT(global.shards, 0u);
   EXPECT_GT(global.lock_acquisitions, 0u);
+}
+
+TEST(ThreadFabric, JoinAndDrainKeepEveryObjectRoutable) {
+  // A default-constructed fabric routes by HRW over its pool map, so a
+  // join or drain migrates exactly the entries whose home changed and
+  // every routed get still finds its object, byte-exact.
+  staging::ThreadFabric fabric(4);
+  constexpr int kObjects = 1000;
+  for (int i = 0; i < kObjects; ++i) {
+    ASSERT_TRUE(fabric
+                    .put(staging::DataObject::real(
+                             stress_desc(i),
+                             PayloadBuffer::wrap(stress_payload(i, 64))),
+                         staging::StoredKind::kPrimary)
+                    .ok());
+  }
+  EXPECT_EQ(fabric.stats().puts, static_cast<std::uint64_t>(kObjects));
+  auto misses = [&] {
+    int missed = 0;
+    for (int i = 0; i < kObjects; ++i) {
+      auto got = fabric.get(stress_desc(i));
+      if (!got.ok() || !(got.value().object.data == stress_payload(i, 64)))
+        ++missed;
+    }
+    return missed;
+  };
+
+  const ServerId joined = fabric.join_server();
+  EXPECT_EQ(joined, 4u);
+  EXPECT_GT(fabric.store(joined).count(), 0u);
+  EXPECT_EQ(misses(), 0) << "after join";
+
+  ASSERT_TRUE(fabric.drain_server(1).ok());
+  EXPECT_EQ(fabric.store(1).count(), 0u);
+  EXPECT_EQ(misses(), 0) << "after drain";
+  EXPECT_EQ(fabric.total_objects(), static_cast<std::size_t>(kObjects));
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndicesConcurrently) {

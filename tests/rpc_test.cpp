@@ -215,22 +215,6 @@ TEST(RpcLoopback, PutGetQueryEraseParityWithDirectFabric) {
   EXPECT_EQ(stats->total_objects, kObjects - 1u);
 }
 
-TEST(RpcLoopback, PoolDispatchParity) {
-  ServerOptions options;
-  options.pool_dispatch = true;
-  ServerFixture fx(options);
-  Client client(fx.client_options());
-  const VarId var = 12;
-  for (int i = 0; i < 16; ++i) {
-    Bytes payload = pattern_bytes(2048, static_cast<std::uint8_t>(i));
-    ASSERT_TRUE(
-        client.put(desc_of(var, i), PayloadBuffer::copy_of(payload)).ok());
-    auto got = client.get(desc_of(var, i));
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(got->payload == payload);
-  }
-}
-
 TEST(RpcLoopback, ConcurrentClientsByteExact) {
   ServerFixture fx;
   constexpr std::size_t kClients = 6;
@@ -631,9 +615,7 @@ TEST(RpcMembership, StaleClientRedirectedAfterDrain) {
   // drained a server to v+2: the server answers kNotMyShard with the
   // new map attached, the client adopts it and the retried get
   // succeeds — one visible call, >= 1 redirect underneath.
-  ServerOptions options;
-  options.fabric.pool_dispatch = true;  // pool-map routing
-  ServerFixture fx(options);
+  ServerFixture fx;
   Client client(fx.client_options());
 
   const VarId var = 31;
@@ -665,9 +647,7 @@ TEST(RpcMembership, StaleClientRedirectedAfterDrain) {
 }
 
 TEST(RpcMembership, RefreshMapConvergesWithoutRedirect) {
-  ServerOptions options;
-  options.fabric.pool_dispatch = true;
-  ServerFixture fx(options);
+  ServerFixture fx;
   Client client(fx.client_options());
 
   ASSERT_TRUE(client.put(desc_of(32, 0),
@@ -687,15 +667,11 @@ TEST(RpcMembership, RefreshMapConvergesWithoutRedirect) {
   EXPECT_EQ(client.stats().stale_redirects, 0u);
 }
 
-TEST(RpcMembership, ConcurrentClientsSurviveDrainUnderPoolDispatch) {
-  // The concurrent-clients storm with a drain racing it, ops dispatched
-  // on the fabric worker pool: every client sees the version bump
-  // mid-stream, gets redirected once, and finishes byte-exact with no
-  // failed operations.
-  ServerOptions options;
-  options.pool_dispatch = true;         // ops on the worker pool
-  options.fabric.pool_dispatch = true;  // pool-map routing
-  ServerFixture fx(options);
+TEST(RpcMembership, ConcurrentClientsSurviveDrain) {
+  // The concurrent-clients storm with a drain racing the ops on the
+  // loop threads: every client sees the version bump mid-stream, gets
+  // redirected once, and finishes byte-exact with no failed operations.
+  ServerFixture fx;
 
   constexpr std::size_t kClients = 4;
   constexpr int kOpsPerClient = 80;
@@ -757,9 +733,7 @@ TEST(RpcMembership, StaleClientFailpointForcesRedirect) {
   // member.map.stale_client forces the staleness check regardless of
   // versions — the arm-once pattern proves the redirect path (decode
   // map, adopt, retry) works even when the client was actually current.
-  ServerOptions options;
-  options.fabric.pool_dispatch = true;
-  ServerFixture fx(options);
+  ServerFixture fx;
   Client client(fx.client_options());
   ASSERT_TRUE(client.put(desc_of(33, 0),
                          PayloadBuffer::copy_of(pattern_bytes(128, 2)))

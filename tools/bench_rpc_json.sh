@@ -111,9 +111,9 @@ stop_server() {
   [ -n "$SERVER_STATS" ] || SERVER_STATS='{}'
 }
 
-# ---- phase 1: op-mix baseline (pool dispatch, default loops) -------------
+# ---- phase 1: op-mix baseline (default loops) ----------------------------
 
-start_server "$TMPDIR_JSON/server.log" --workers 2 --pool-dispatch
+start_server "$TMPDIR_JSON/server.log"
 echo "corec-server up on port $PORT (pid $SERVER_PID)"
 
 for MIX in put get mixed; do
@@ -124,7 +124,7 @@ for MIX in put get mixed; do
 done
 stop_server "$TMPDIR_JSON/server.log"
 
-# ---- phase 2: C10k sweep (sync dispatch, pipelined clients) --------------
+# ---- phase 2: C10k sweep (pipelined clients) -----------------------------
 
 CELLS=
 for LOOPS in $C10K_LOOPS; do
@@ -214,7 +214,7 @@ fi
 
 {
   printf '{\n"bench": "rpc_loopback",\n'
-  printf '"transport": "tcp length-prefixed frames, 4 server shards, pool dispatch",\n'
+  printf '"transport": "tcp length-prefixed frames, 4 server shards",\n'
   printf '"put": %s,\n' "$(cat "$TMPDIR_JSON/put.json")"
   printf '"get": %s,\n' "$(cat "$TMPDIR_JSON/get.json")"
   printf '"mixed": %s,\n' "$(cat "$TMPDIR_JSON/mixed.json")"

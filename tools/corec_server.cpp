@@ -1,10 +1,11 @@
 // corec-server — the CoREC staging server binary. Fronts a
-// ThreadFabric with the epoll RPC event loop and serves
-// put/get/query/erase/stat to corec_client peers until SIGINT/SIGTERM,
-// then prints a final stats summary.
+// ThreadFabric, which places every object by HRW over its pool map,
+// with epoll RPC event loops that run each op on the connection's
+// loop thread. Serves put/get/query/erase/stat to corec_client peers
+// until SIGINT/SIGTERM, then prints a final stats summary.
 //
 //   corec-server --port 7457
-//   corec-server --port 0 --servers 8 --pool-dispatch
+//   corec-server --port 0 --servers 8 --loops 2
 //   COREC_FAILPOINTS='rpc.server.write=partial:p=0.01' corec-server ...
 #include <csignal>
 #include <cstdio>
@@ -35,10 +36,7 @@ void usage() {
       "  --servers N         fabric staging servers (default 4)\n"
       "  --store-shards N    lock stripes per server store (0 = auto)\n"
       "  --dir-shards N      directory lock stripes (0 = auto)\n"
-      "  --workers N         fabric worker threads (0 = auto)\n"
       "  --capacity BYTES    per-server capacity (0 = unlimited)\n"
-      "  --pool-dispatch     run ops on the worker pool instead of the\n"
-      "                      event-loop threads\n"
       "  --loops N           epoll event-loop shards\n"
       "                      (0 = min(hardware_concurrency, 4))\n"
       "  --segment BYTES     payload slice cap per write segment\n"
@@ -77,13 +75,9 @@ int main(int argc, char** argv) {
     } else if (a == "--dir-shards") {
       options.fabric.directory_shards =
           corec::flag_uint<std::size_t>(a, next());
-    } else if (a == "--workers") {
-      options.fabric.workers = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--capacity") {
       options.fabric.server_capacity =
           corec::flag_uint<std::size_t>(a, next());
-    } else if (a == "--pool-dispatch") {
-      options.pool_dispatch = true;
     } else if (a == "--loops") {
       options.num_loops = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--segment") {
@@ -116,11 +110,9 @@ int main(int argc, char** argv) {
   }
   // The scrape-able readiness line (bench_rpc_json.sh and the CI smoke
   // job read the resolved port from it).
-  std::printf(
-      "corec-server listening on %s:%u (%zu servers, %zu loops, %s "
-      "dispatch)\n",
-      server.host().c_str(), server.port(), options.num_servers,
-      server.num_loops(), options.pool_dispatch ? "pool" : "sync");
+  std::printf("corec-server listening on %s:%u (%zu servers, %zu loops)\n",
+              server.host().c_str(), server.port(), options.num_servers,
+              server.num_loops());
   std::fflush(stdout);
 
   std::signal(SIGINT, on_signal);

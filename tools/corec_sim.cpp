@@ -265,9 +265,8 @@ bool parse_args(int argc, char** argv, CliOptions* cli) {
 // Each thread owns a disjoint slice of entities (so expected bytes are
 // deterministic) but entities from different threads interleave over
 // the same servers and shards, exercising the lock stripes. Every get
-// is byte-verified against the owner's last write; a final async batch
-// exercises the worker-pool dispatch path. Returns nonzero on any
-// mismatch.
+// is byte-verified against the owner's last write. Returns nonzero on
+// any mismatch.
 int run_fabric_exercise(const CliOptions& cli) {
   using staging::DataObject;
   using staging::ObjectDescriptor;
@@ -280,7 +279,6 @@ int run_fabric_exercise(const CliOptions& cli) {
   const std::size_t threads = cli.threads;
 
   staging::FabricOptions options;
-  options.workers = threads;
   // Stripe for the offered parallelism, not the host's core count: the
   // exercise (and the TSan CI leg) must cover cross-stripe interleaving
   // even on single-core runners where the auto shard count is 1.
@@ -369,33 +367,6 @@ int run_fabric_exercise(const CliOptions& cli) {
           .count();
   const std::uint64_t sync_ops =
       static_cast<std::uint64_t>(threads) * kOpsPerThread;
-
-  // Async leg: dispatch one more round of puts through the worker pool
-  // and verify all of them landed after drain().
-  std::atomic<std::uint64_t> async_failures{0};
-  const auto async_var = static_cast<VarId>(1000);
-  for (int i = 0; i < 256; ++i) {
-    ObjectDescriptor desc{async_var, 1,
-                          geom::BoundingBox::line(i * 4, i * 4 + 3),
-                          staging::kWholeObject};
-    fabric.async_put(
-        fabric.route(desc),
-        DataObject::real(desc, PayloadBuffer::wrap(Bytes(512, 0xA5))),
-        StoredKind::kPrimary, [&async_failures](Status st) {
-          if (!st.ok()) {
-            async_failures.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-  }
-  fabric.drain();
-  for (int i = 0; i < 256; ++i) {
-    ObjectDescriptor desc{async_var, 1,
-                          geom::BoundingBox::line(i * 4, i * 4 + 3),
-                          staging::kWholeObject};
-    if (!fabric.get(desc).ok()) {
-      async_failures.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 
   // Ring-encode leg: real threads act as the hops of the pipelined
   // replica→EC ring. Hop j spins until its predecessor's CRC-stamped
@@ -504,9 +475,9 @@ int run_fabric_exercise(const CliOptions& cli) {
   const auto shards = fabric.shard_metrics();
   const auto& pm = payload_metrics();
   std::printf("fabric          : %zu servers x %zu shards, %zu client "
-              "threads, %zu workers\n",
+              "threads\n",
               fabric.num_servers(), fabric.store(0).shard_count(),
-              threads, threads);
+              threads);
   std::printf("sync phase      : %llu ops in %.3f s (%.2f M ops/s)\n",
               static_cast<unsigned long long>(sync_ops), sync_seconds,
               static_cast<double>(sync_ops) / sync_seconds / 1e6);
@@ -536,13 +507,11 @@ int run_fabric_exercise(const CliOptions& cli) {
               ring_hops,
               ring_failures.load() == 0 ? "byte-identical to one-shot"
                                         : "MISMATCH");
-  const std::uint64_t bad =
-      mismatches.load() + async_failures.load() + ring_failures.load();
-  std::printf("verification    : %s (%llu mismatches, %llu async "
-              "failures, %llu ring failures)\n",
+  const std::uint64_t bad = mismatches.load() + ring_failures.load();
+  std::printf("verification    : %s (%llu mismatches, %llu ring "
+              "failures)\n",
               bad == 0 ? "all reads byte-exact" : "MISMATCH",
               static_cast<unsigned long long>(mismatches.load()),
-              static_cast<unsigned long long>(async_failures.load()),
               static_cast<unsigned long long>(ring_failures.load()));
   return bad == 0 ? 0 : 1;
 }

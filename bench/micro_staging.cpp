@@ -1,5 +1,6 @@
 // Microbenchmarks of the zero-copy data plane: replicated put (shared
-// payload buffers), region get (scatter/gather assembly), and the
+// payload buffers), region get (scatter/gather assembly), the hyperslab
+// copy that stitches pieces into a get's buffer, and the
 // replica→EC transition in token-serial, batched-pipelined, and
 // ring-pipelined form at RS(8,2), plus metadata-directory churn and
 // latest-version lookup on one large version bucket. Counters expose
@@ -20,6 +21,7 @@
 #include "resilience/primitives.hpp"
 #include "resilience/schemes.hpp"
 #include "staging/directory.hpp"
+#include "staging/hyperslab.hpp"
 #include "staging/service.hpp"
 
 namespace {
@@ -364,6 +366,52 @@ void BM_StripePrep(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(built * size));
 }
 BENCHMARK(BM_StripePrep)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
+
+/// Hyperslab copy on S3D shapes. Arg 0: a corec_s3d get, 32 pieces of
+/// 16^3 doubles stitched into a 32x64x64 slab (128-byte rows). Arg 1:
+/// a whole-box extract of one 16^3-double block, the put path's copy.
+void BM_CopyRegion(benchmark::State& state) {
+  using corec::geom::BoundingBox;
+  constexpr std::size_t kElem = 8;
+  const bool gather = state.range(0) == 0;
+  const BoundingBox slab = BoundingBox::cube(0, 0, 0, 31, 63, 63);
+  std::vector<BoundingBox> pieces;
+  if (gather) {
+    for (std::int64_t x = 0; x < 32; x += 16) {
+      for (std::int64_t y = 0; y < 64; y += 16) {
+        for (std::int64_t z = 0; z < 64; z += 16) {
+          pieces.push_back(
+              BoundingBox::cube(x, y, z, x + 15, y + 15, z + 15));
+        }
+      }
+    }
+  } else {
+    pieces.push_back(BoundingBox::cube(0, 0, 0, 15, 15, 15));
+  }
+  const std::size_t piece_bytes = pieces[0].volume() * kElem;
+  std::vector<Bytes> src;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    src.push_back(make_payload(piece_bytes, static_cast<std::uint8_t>(i)));
+  }
+  Bytes out(gather ? slab.volume() * kElem : piece_bytes);
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      const BoundingBox& dst_box = gather ? slab : pieces[i];
+      auto st = corec::staging::copy_region(src[i], pieces[i],
+                                            corec::MutableByteSpan(out),
+                                            dst_box, pieces[i], kElem);
+      if (!st.ok()) {
+        state.SkipWithError("copy_region failed");
+        return;
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    bytes += pieces.size() * piece_bytes;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CopyRegion)->Arg(0)->Arg(1);
 
 /// One (var, version) bucket of n disjoint 8^3 blocks, as one S3D
 /// variable at one time step.

@@ -203,7 +203,10 @@ std::vector<BoundingBox> regular_decomposition(
     starts[d].push_back(domain.hi()[d] + 1);  // sentinel end
   }
 
+  std::size_t total = 1;
+  for (std::size_t c : counts) total *= c;
   std::vector<BoundingBox> blocks;
+  blocks.reserve(total);
   std::vector<std::size_t> idx(domain.dims(), 0);
   bool done = false;
   while (!done) {

@@ -12,7 +12,8 @@ namespace corec::staging {
 /// Copies the region `region` from `src` (laid out row-major over
 /// `src_box`) into `dst` (row-major over `dst_box`). `region` must be
 /// contained in both boxes; element_size is bytes per grid point.
-/// Copies contiguous runs along the last dimension.
+/// Trailing dimensions contiguous in both layouts coalesce into one
+/// memcpy run; the outer dimensions are walked by byte strides.
 Status copy_region(ByteSpan src, const geom::BoundingBox& src_box,
                    MutableByteSpan dst, const geom::BoundingBox& dst_box,
                    const geom::BoundingBox& region,

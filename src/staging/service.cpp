@@ -21,6 +21,29 @@ std::vector<std::size_t> invert_ring(const std::vector<ServerId>& ring) {
   return pos;
 }
 
+/// True when the parts of `descs` inside `box` are pairwise disjoint and
+/// add up to its volume, i.e. they tile it and each byte is written once.
+/// The O(n^2) pair test runs only after the volumes match.
+bool tiles(const std::vector<ObjectDescriptor>& descs,
+           const geom::BoundingBox& box) {
+  std::vector<geom::BoundingBox> parts;
+  parts.reserve(descs.size());
+  std::uint64_t covered = 0;
+  for (const auto& desc : descs) {
+    geom::BoundingBox overlap;
+    if (!desc.box.intersect(box, &overlap)) continue;
+    covered += overlap.volume();
+    parts.push_back(overlap);
+  }
+  if (covered != box.volume()) return false;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    for (std::size_t j = i + 1; j < parts.size(); ++j) {
+      if (parts[i].intersects(parts[j])) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 StagingService::StagingService(ServiceOptions options, sim::Simulation* sim,
@@ -166,11 +189,12 @@ std::size_t StagingService::num_alive() const {
 
 ShardHealth StagingService::probe_stored(ServerId s,
                                          const ObjectDescriptor& desc,
-                                         std::uint32_t expected) {
+                                         std::uint32_t expected,
+                                         const StoredObject* stored) {
   if (s == kInvalidServer || s >= servers_.size() || !servers_[s].alive) {
     return ShardHealth::kMissing;
   }
-  const StoredObject* stored = servers_[s].store.find(desc);
+  if (stored == nullptr) stored = servers_[s].store.find(desc);
   if (stored == nullptr) return ShardHealth::kMissing;
   if (stored->object.phantom) return ShardHealth::kOk;
   if (expected == 0) return ShardHealth::kOk;  // no checksum recorded
@@ -328,10 +352,6 @@ OpResult StagingService::get(VarId var, Version version,
     return result;
   }
 
-  if (out != nullptr) {
-    out->assign(static_cast<std::size_t>(box.volume()) * elem, 0);
-  }
-
   SimTime start = t0 + options_.cost.metadata_op;
   SimTime completion = start;
   std::size_t assembled_bytes = 0;
@@ -351,6 +371,19 @@ OpResult StagingService::get(VarId var, Version version,
       return result;
     }
     completion = std::max(completion, done.value());
+  }
+  if (out != nullptr) {
+    // Real pieces that tile the request overwrite every output byte, so
+    // the buffer needs no zero-fill; otherwise holes must read as zero.
+    const std::size_t bytes = static_cast<std::size_t>(box.volume()) * elem;
+    const bool all_real =
+        std::none_of(pieces.begin(), pieces.end(),
+                     [](const PayloadBuffer& p) { return p.empty(); });
+    if (all_real && tiles(descs, box)) {
+      out->resize(bytes);
+    } else {
+      out->assign(bytes, 0);
+    }
   }
   for (std::size_t ri = descs.size(); ri-- > 0;) {
     const auto& desc = descs[ri];
@@ -404,35 +437,35 @@ StatusOr<SimTime> StagingService::read_piece(const ObjectDescriptor& desc,
 
   if (loc->protection != Protection::kEncoded) {
     // Whole copies: primary plus replicas; pick the least-loaded live
-    // holder (replication's concurrent-read bandwidth advantage). A
-    // copy failing its checksum is quarantined and the next holder
-    // tried — corruption costs one replica, never corrupt bytes
-    // returned to the reader.
-    std::vector<ServerId> holders;
-    holders.push_back(loc->primary);
-    holders.insert(holders.end(), loc->replicas.begin(),
-                   loc->replicas.end());
+    // holder (replication's concurrent-read bandwidth advantage), ties
+    // to the earlier of primary, replicas; a holder that cannot beat the
+    // best so far is not looked up at all. A copy failing its checksum
+    // is quarantined and the next holder tried — corruption costs one
+    // replica, never corrupt bytes returned to the reader.
     const StoredObject* stored = nullptr;
     ServerId best = kInvalidServer;
-    while (stored == nullptr) {
+    SimTime best_backlog = 0;
+    auto consider = [&](ServerId h) {
+      if (h == kInvalidServer || !servers_[h].alive) return;
+      SimTime backlog = servers_[h].queue.backlog(start);
+      if (best != kInvalidServer && backlog >= best_backlog) return;
+      const StoredObject* found = servers_[h].store.find(desc);
+      if (found == nullptr) return;
+      best = h;
+      best_backlog = backlog;
+      stored = found;
+    };
+    for (;;) {
       best = kInvalidServer;
-      SimTime best_backlog = 0;
-      for (ServerId h : holders) {
-        if (h == kInvalidServer || !servers_[h].alive) continue;
-        if (!servers_[h].store.contains(desc)) continue;
-        SimTime backlog = servers_[h].queue.backlog(start);
-        if (best == kInvalidServer || backlog < best_backlog) {
-          best = h;
-          best_backlog = backlog;
-        }
-      }
+      consider(loc->primary);
+      for (ServerId h : loc->replicas) consider(h);
       if (best == kInvalidServer) {
         return Status::DataLoss("all copies lost or corrupt: " +
                                 desc.to_string());
       }
-      if (probe_stored(best, desc, loc->object_checksum) ==
+      if (probe_stored(best, desc, loc->object_checksum, stored) ==
           ShardHealth::kOk) {
-        stored = servers_[best].store.find(desc);
+        break;
       }
     }
     SimTime service = options_.cost.request_overhead +

@@ -224,9 +224,11 @@ class StagingService {
   /// CRC32C recorded in the directory; 0 = nothing recorded, accept).
   /// A mismatching entry is quarantined — erased from the store so
   /// every downstream path sees it as one more erasure to repair
-  /// around. Phantom entries always verify clean.
+  /// around. Phantom entries always verify clean. A caller that already
+  /// looked the entry up on `s` passes it as `stored` to skip the find.
   ShardHealth probe_stored(ServerId s, const ObjectDescriptor& desc,
-                           std::uint32_t expected);
+                           std::uint32_t expected,
+                           const StoredObject* stored = nullptr);
 
   /// Fault injection: flips one bit of the stored bytes of `desc` on
   /// `s` (see ObjectStore::flip_byte). Returns false if there is no

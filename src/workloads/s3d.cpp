@@ -70,12 +70,13 @@ WorkloadPlan make_s3d_plan(const S3dConfig& c) {
   }
   auto slabs = geom::regular_decomposition(plan.domain, reader_counts);
 
-  for (Version ts = 0; ts < c.time_steps; ++ts) {
-    StepPlan step;
-    for (const auto& b : blocks) step.writes.push_back({c.var, b});
-    for (const auto& s : slabs) step.reads.push_back({c.var, s});
-    plan.steps.push_back(std::move(step));
-  }
+  // Every time step writes and reads the same regions.
+  StepPlan step;
+  step.writes.reserve(blocks.size());
+  step.reads.reserve(slabs.size());
+  for (const auto& b : blocks) step.writes.push_back({c.var, b});
+  for (const auto& s : slabs) step.reads.push_back({c.var, s});
+  plan.steps.assign(c.time_steps, step);
   return plan;
 }
 

@@ -1,6 +1,9 @@
 // Object model, object store accounting, hyperslab copies.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.hpp"
 #include "staging/hyperslab.hpp"
 #include "staging/object.hpp"
 #include "staging/object_store.hpp"
@@ -194,6 +197,120 @@ TEST(Hyperslab, UndersizedBufferRejected) {
   EXPECT_FALSE(
       extract_region(src, box, geom::BoundingBox::rect(0, 0, 1, 1), 1)
           .ok());
+}
+
+// Per-element reference for copy_region: each point's offset is
+// recomputed from scratch in both layouts and one element moved.
+std::size_t reference_offset(const geom::BoundingBox& box,
+                             const geom::Point& p) {
+  std::size_t off = 0;
+  for (std::size_t d = 0; d < box.dims(); ++d) {
+    off = off * static_cast<std::size_t>(box.extent(d)) +
+          static_cast<std::size_t>(p[d] - box.lo()[d]);
+  }
+  return off;
+}
+
+void reference_copy(ByteSpan src, const geom::BoundingBox& src_box,
+                    MutableByteSpan dst, const geom::BoundingBox& dst_box,
+                    const geom::BoundingBox& region, std::size_t elem) {
+  geom::Point p = region.lo();
+  for (;;) {
+    std::memcpy(dst.data() + reference_offset(dst_box, p) * elem,
+                src.data() + reference_offset(src_box, p) * elem, elem);
+    std::size_t d = region.dims();
+    while (d-- > 0) {
+      if (++p[d] <= region.hi()[d]) break;
+      p[d] = region.lo()[d];
+    }
+    if (d == static_cast<std::size_t>(-1)) return;
+  }
+}
+
+// Grows `region` by 0-2 points on each side of every dimension d where
+// pad(d) holds.
+template <typename Pad>
+geom::BoundingBox grow(Rng& rng, const geom::BoundingBox& region, Pad pad) {
+  geom::Point lo = region.lo(), hi = region.hi();
+  for (std::size_t d = 0; d < region.dims(); ++d) {
+    if (!pad(d)) continue;
+    lo[d] -= rng.uniform_range(0, 2);
+    hi[d] += rng.uniform_range(0, 2);
+  }
+  return geom::BoundingBox(lo, hi);
+}
+
+enum class Shape { kRandom, kWholeBoxes, kOneSideFull, kSinglePoint };
+
+// Compares copy_region against the reference on seeded random
+// (src box, dst box, region) triples of one shape, every dimension
+// count 1..4 and element sizes 1, 3 and 8. The destination starts as
+// random bytes, so writes outside the region are caught too.
+void check_against_reference(Shape shape, std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (std::size_t elem : {1, 3, 8}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        geom::Point lo, hi;
+        lo.dims = hi.dims = dims;
+        for (std::size_t d = 0; d < dims; ++d) {
+          lo[d] = rng.uniform_range(-4, 4);
+          hi[d] = shape == Shape::kSinglePoint
+                      ? lo[d]
+                      : lo[d] + rng.uniform_range(0, 4);
+        }
+        const geom::BoundingBox region(lo, hi);
+        auto any = [](std::size_t) { return true; };
+        geom::BoundingBox src_box = grow(rng, region, any);
+        geom::BoundingBox dst_box = grow(rng, region, any);
+        if (shape == Shape::kWholeBoxes) {
+          src_box = dst_box = region;
+        } else if (shape == Shape::kOneSideFull) {
+          // The source spans every inner extent of the region in full;
+          // the destination spans only the last one and is wider in the
+          // one before it, so the run takes in just the last two
+          // dimensions.
+          src_box = grow(rng, region, [](std::size_t d) { return d == 0; });
+          const std::size_t wide = dims >= 2 ? dims - 2 : 0;
+          dst_box = grow(rng, region, [&](std::size_t d) { return d <= wide; });
+          geom::Point dlo = dst_box.lo();
+          dlo[wide] -= 1;
+          dst_box = geom::BoundingBox(dlo, dst_box.hi());
+        }
+        SCOPED_TRACE("src " + src_box.to_string() + " dst " +
+                     dst_box.to_string() + " region " + region.to_string() +
+                     " elem " + std::to_string(elem));
+
+        Bytes src(src_box.volume() * elem);
+        for (auto& b : src) b = static_cast<std::uint8_t>(rng.next_u32());
+        Bytes want(dst_box.volume() * elem);
+        for (auto& b : want) b = static_cast<std::uint8_t>(rng.next_u32());
+        Bytes got = want;
+        reference_copy(src, src_box, MutableByteSpan(want), dst_box, region,
+                       elem);
+        ASSERT_TRUE(copy_region(src, src_box, MutableByteSpan(got), dst_box,
+                                region, elem)
+                        .ok());
+        ASSERT_EQ(got, want);
+      }
+    }
+  }
+}
+
+TEST(Hyperslab, MatchesPerElementReferenceOnRandomBoxes) {
+  check_against_reference(Shape::kRandom, 11);
+}
+
+TEST(Hyperslab, MatchesReferenceWhenRegionIsBothBoxes) {
+  check_against_reference(Shape::kWholeBoxes, 12);
+}
+
+TEST(Hyperslab, MatchesReferenceWhenOnlyOneSideIsContiguous) {
+  check_against_reference(Shape::kOneSideFull, 13);
+}
+
+TEST(Hyperslab, MatchesReferenceForSinglePoint) {
+  check_against_reference(Shape::kSinglePoint, 14);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // degraded reads, and storage accounting per scheme.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "resilience/schemes.hpp"
 #include "staging/hyperslab.hpp"
@@ -299,6 +301,106 @@ TEST(StagingService, QueueingMakesConcurrentWritesSlower) {
   ASSERT_TRUE(first.status.ok());
   ASSERT_TRUE(second.status.ok());
   EXPECT_GT(second.response_time(), first.response_time());
+}
+
+// A slab of var 1 spanning x0..x1 and the full 8x8 cross-section, so
+// every x-plane is one contiguous run of 64 bytes.
+geom::BoundingBox slab(geom::Coord x0, geom::Coord x1) {
+  return geom::BoundingBox::cube(x0, 0, 0, x1, 7, 7);
+}
+
+struct SlabPut {
+  Version version;
+  geom::BoundingBox box;
+  Bytes bytes;
+};
+
+// What a read of `region` as of `version` must return: each x-plane
+// comes from the newest put covering it, and a plane no put covers is
+// zero. `puts` is in version order.
+Bytes expected_read(const std::vector<SlabPut>& puts, Version version,
+                    const geom::BoundingBox& region) {
+  constexpr std::size_t kPlane = 64;
+  Bytes want(static_cast<std::size_t>(region.volume()), 0);
+  for (geom::Coord x = region.lo()[0]; x <= region.hi()[0]; ++x) {
+    for (const SlabPut& p : puts) {
+      if (p.version > version || x < p.box.lo()[0] || x > p.box.hi()[0]) {
+        continue;
+      }
+      std::copy_n(
+          p.bytes.begin() + static_cast<std::ptrdiff_t>(
+                                (x - p.box.lo()[0]) * kPlane),
+          kPlane,
+          want.begin() + static_cast<std::ptrdiff_t>(
+                             (x - region.lo()[0]) * kPlane));
+    }
+  }
+  return want;
+}
+
+TEST(StagingService, GetWritesEveryByteWhetherPiecesTileOrNot) {
+  ServiceFixture f(std::make_unique<NoneScheme>());
+  std::vector<SlabPut> puts;
+  auto put = [&](Version v, const geom::BoundingBox& box,
+                 std::uint8_t salt) {
+    puts.push_back({v, box, pattern_for(box, salt)});
+    ASSERT_TRUE(f.service.put(1, v, box, puts.back().bytes).status.ok());
+  };
+  // The output starts as 0xAB garbage: every byte the get leaves alone
+  // shows up as a mismatch.
+  auto check = [&](Version v, const geom::BoundingBox& region) {
+    SCOPED_TRACE("read " + region.to_string() + " at v" +
+                 std::to_string(v));
+    Bytes out(static_cast<std::size_t>(region.volume()), 0xAB);
+    OpResult res = f.service.get(1, v, region, &out);
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    EXPECT_EQ(out, expected_read(puts, v, region));
+  };
+
+  put(0, slab(0, 7), 1);
+  put(0, slab(8, 15), 2);
+  check(0, slab(0, 15));  // the two pieces tile the request
+  check(0, slab(2, 12));  // their clipped parts still tile it
+  check(0, slab(0, 23));  // x 16..23 is an unwritten hole: zeros
+
+  put(1, slab(4, 11), 3);
+  check(1, slab(0, 15));  // v1 overlaps both v0 pieces and wins
+  // Pieces slab(4, 11) and slab(8, 15) add up to the request's volume
+  // but overlap on x 8..11, leaving x 16..19 as a hole.
+  check(1, slab(4, 19));
+}
+
+TEST(StagingService, CorruptReplicaIsQuarantinedAndReadFailsOver) {
+  ServiceFixture f(std::make_unique<ReplicationScheme>(1));
+  auto box = geom::BoundingBox::cube(0, 0, 0, 7, 7, 7);  // one piece
+  Bytes payload = pattern_for(box, 41);
+  OpResult put = f.service.put(1, 0, box, payload);
+  ASSERT_TRUE(put.status.ok());
+  // Idle queues: the read picks the primary, the first of equal backlogs.
+  f.sim.run_until(put.completed + 1'000'000'000);
+
+  auto descs = f.service.directory().query_latest(1, 0, box);
+  ASSERT_EQ(descs.size(), 1u);
+  const ObjectDescriptor desc = descs[0];
+  const ObjectLocation* loc = f.service.directory().find(desc);
+  ASSERT_NE(loc, nullptr);
+  ASSERT_EQ(loc->replicas.size(), 1u);
+  const ServerId primary = loc->primary;
+  const ServerId replica = loc->replicas[0];
+  ASSERT_NE(loc->object_checksum, 0u);
+
+  ASSERT_TRUE(f.service.corrupt_at(primary, desc, 17));
+  Bytes out;
+  OpResult first = f.service.get(1, 0, box, &out);
+  ASSERT_TRUE(first.status.ok()) << first.status.to_string();
+  EXPECT_EQ(out, payload);
+  EXPECT_EQ(f.service.integrity().quarantined, 1u);
+  EXPECT_FALSE(f.service.server(primary).store.contains(desc));
+  EXPECT_TRUE(f.service.server(replica).store.contains(desc));
+
+  ASSERT_TRUE(f.service.corrupt_at(replica, desc, 3));
+  OpResult second = f.service.get(1, 0, box, &out);
+  EXPECT_EQ(second.status.code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

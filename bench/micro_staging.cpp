@@ -1,6 +1,7 @@
 // Microbenchmarks of the zero-copy data plane: replicated put (shared
-// payload buffers), region get (scatter/gather assembly), the hyperslab
-// copy that stitches pieces into a get's buffer, and the
+// payload buffers), the CoREC put path (classification, neighbour
+// marking, victim sampling), region get (scatter/gather assembly),
+// the hyperslab copy that stitches pieces into a get's buffer, and the
 // replica→EC transition in token-serial, batched-pipelined, and
 // ring-pipelined form at RS(8,2), plus metadata-directory churn and
 // latest-version lookup on one large version bucket. Counters expose
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/batched_encoder.hpp"
+#include "core/corec_scheme.hpp"
 #include "core/encoding_workflow.hpp"
 #include "core/pipelined_encoder.hpp"
 #include "resilience/primitives.hpp"
@@ -147,6 +149,72 @@ void BM_GetReplicated(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(reads * size));
 }
 BENCHMARK(BM_GetReplicated);
+
+/// CoREC write path on a populated grid: 8^3 blocks of 16^3 doubles
+/// (32 KiB, one fitted piece each) are written once, then every
+/// iteration overwrites one block at the next version through
+/// CorecScheme::protect — classification and neighbour marking,
+/// replicated placement, and, since two copies sit below the 0.67
+/// storage floor, victim sampling. Each finished pass ends its step
+/// untimed, as the application's compute phase would.
+void BM_CorecPut(benchmark::State& state) {
+  using corec::geom::BoundingBox;
+  constexpr std::int64_t kBlock = 16;
+  constexpr std::int64_t kGrid = 8;
+  corec::staging::ServiceOptions opts = service_options();
+  opts.domain = BoundingBox::cube(0, 0, 0, kBlock * kGrid - 1,
+                                  kBlock * kGrid - 1, kBlock * kGrid - 1);
+  opts.fit.element_size = 8;
+  opts.fit.target_bytes = 32u << 10;
+  corec::sim::Simulation sim;
+  auto scheme = corec::core::make_corec();
+  const corec::core::CorecScheme* corec_scheme = scheme.get();
+  StagingService service(opts, &sim, std::move(scheme));
+
+  std::vector<BoundingBox> blocks;
+  for (std::int64_t x = 0; x < kGrid; ++x) {
+    for (std::int64_t y = 0; y < kGrid; ++y) {
+      for (std::int64_t z = 0; z < kGrid; ++z) {
+        blocks.push_back(BoundingBox::cube(
+            x * kBlock, y * kBlock, z * kBlock, x * kBlock + kBlock - 1,
+            y * kBlock + kBlock - 1, z * kBlock + kBlock - 1));
+      }
+    }
+  }
+  const Bytes payload =
+      make_payload(blocks[0].volume() * opts.fit.element_size, 5);
+  corec::Version step = 0;
+  for (const auto& b : blocks) service.put(1, step, b, payload);
+  service.end_time_step(step++);
+
+  std::size_t next = 0;
+  std::uint64_t puts = 0;
+  std::uint64_t sampled = 0;
+  for (auto _ : state) {
+    auto r = service.put(1, step, blocks[next], payload);
+    if (!r.status.ok()) {
+      state.SkipWithError("put failed");
+      return;
+    }
+    ++puts;
+    // protect() sampled victims iff the floor was violated after placing.
+    if (corec_scheme->efficiency() <
+        corec_scheme->corec_options().efficiency_floor) {
+      ++sampled;
+    }
+    if (++next == blocks.size()) {
+      state.PauseTiming();
+      service.end_time_step(step++);
+      next = 0;
+      state.ResumeTiming();
+    }
+  }
+  state.counters["sampled_share"] =
+      static_cast<double>(sampled) / static_cast<double>(puts);
+  state.SetItemsProcessed(static_cast<std::int64_t>(puts));
+  state.SetBytesProcessed(static_cast<std::int64_t>(puts * payload.size()));
+}
+BENCHMARK(BM_CorecPut);
 
 std::vector<DataObject> transition_set(std::size_t objects,
                                        std::size_t size) {

@@ -41,8 +41,8 @@ AccessClassifier::CellKey AccessClassifier::cell_of(
   return key;
 }
 
-void AccessClassifier::index_insert(VarId var,
-                                    const geom::BoundingBox& box) {
+void AccessClassifier::index_insert(AccessRecord* r) {
+  const geom::BoundingBox& box = r->box;
   if (cell_size_ == 0) {
     // Derive the cell size from the first entity: one cell ~ one block.
     cell_size_ = 1;
@@ -50,16 +50,21 @@ void AccessClassifier::index_insert(VarId var,
       cell_size_ = std::max(cell_size_, box.extent(d));
     }
   }
-  grid_[cell_of(var, box.lo())].push_back(key_of(var, box));
+  grid_[cell_of(r->var, box.lo())].push_back(r);
+  ++grid_gen_;
 }
 
-std::vector<const AccessRecord*> AccessClassifier::neighbours(
-    VarId var, const geom::BoundingBox& box) const {
-  std::vector<const AccessRecord*> out;
-  if (cell_size_ == 0) return out;
+const std::vector<AccessRecord*>& AccessClassifier::neighbours(
+    AccessRecord& r) {
+  // Boxes never change and records are never erased, so the query's
+  // answer changes only when an entity is indexed.
+  if (r.neighbours_gen == grid_gen_) return r.neighbours;
+  r.neighbours.clear();
+  r.neighbours_gen = grid_gen_;
   // Visit the cells covering box expanded by the spatial radius; an
   // entity's index cell is the cell of its lo() corner, so expand the
   // query by one extra cell to catch large neighbours.
+  const geom::BoundingBox& box = r.box;
   geom::Point lo = box.lo(), hi = box.hi();
   std::size_t dims = box.dims();
   std::int64_t clo[geom::kMaxDims], chi[geom::kMaxDims];
@@ -74,18 +79,14 @@ std::vector<const AccessRecord*> AccessClassifier::neighbours(
   for (std::size_t d = 0; d < dims; ++d) idx[d] = clo[d];
   for (;;) {
     CellKey key{};
-    key.var = var;
+    key.var = r.var;
     key.dims = dims;
     for (std::size_t d = 0; d < dims; ++d) key.cell[d] = idx[d];
     auto it = grid_.find(key);
     if (it != grid_.end()) {
-      for (const Key& k : it->second) {
-        auto rit = records_.find(k);
-        if (rit == records_.end()) continue;
-        const AccessRecord& r = rit->second;
-        if (!(r.box == box) &&
-            r.box.chebyshev_gap(box) <= options_.spatial_radius) {
-          out.push_back(&r);
+      for (AccessRecord* n : it->second) {
+        if (n != &r && n->box.chebyshev_gap(box) <= options_.spatial_radius) {
+          r.neighbours.push_back(n);
         }
       }
     }
@@ -100,27 +101,22 @@ std::vector<const AccessRecord*> AccessClassifier::neighbours(
     }
     if (done) break;
   }
-  return out;
+  return r.neighbours;
 }
 
-std::size_t AccessClassifier::record_write(VarId var,
-                                           const geom::BoundingBox& box,
-                                           Version step) {
-  Key key = key_of(var, box);
-  auto it = records_.find(key);
-  std::size_t work = 1;
+const AccessRecord& AccessClassifier::record_write(
+    VarId var, const geom::BoundingBox& box, Version step) {
+  auto [it, inserted] = records_.try_emplace(key_of(var, box));
+  AccessRecord& r = it->second;
   ++decisions_;
-  if (it == records_.end()) {
-    AccessRecord r;
+  if (inserted) {
     r.var = var;
     r.box = box;
     r.last_write = step;
     r.frequency = 1.0;
     r.writes = 1;
-    records_.emplace(key, r);
-    index_insert(var, box);
+    index_insert(&r);
   } else {
-    AccessRecord& r = it->second;
     if (r.last_write != step) {
       // Period detection: two consecutive equal gaps lock a period.
       std::uint32_t gap = step - r.last_write;
@@ -138,16 +134,13 @@ std::size_t AccessClassifier::record_write(VarId var,
 
   // Spatial locality: mark neighbours predicted-hot.
   if (options_.enable_spatial) {
-    for (const AccessRecord* n : neighbours(var, box)) {
-      auto* mut = const_cast<AccessRecord*>(n);
-      mut->predicted_hot_until =
-          std::max(mut->predicted_hot_until,
-                   step + options_.prediction_ttl);
-      ++work;
+    for (AccessRecord* n : neighbours(r)) {
+      n->predicted_hot_until =
+          std::max(n->predicted_hot_until, step + options_.prediction_ttl);
       ++decisions_;
     }
   }
-  return work;
+  return r;
 }
 
 void AccessClassifier::record_read(VarId var, const geom::BoundingBox& box,

@@ -40,7 +40,8 @@ struct ClassifierOptions {
   bool count_reads = false;
 };
 
-/// Per-entity access record.
+/// Per-entity access record. The classifier never erases one, so a
+/// record's address is stable for the classifier's lifetime.
 struct AccessRecord {
   VarId var = 0;
   geom::BoundingBox box;
@@ -53,6 +54,10 @@ struct AccessRecord {
   double frequency = 0.0;            // decayed write-frequency counter
   Version predicted_hot_until = 0;   // spatial/periodic marking
   std::uint64_t writes = 0;          // lifetime write count
+  /// Spatial-neighbour cache: what the grid query for `box` returned at
+  /// grid generation `neighbours_gen` (0 = never queried).
+  std::vector<AccessRecord*> neighbours;
+  std::uint64_t neighbours_gen = 0;
 };
 
 /// The classifier. Entities are (var, box) regions — exactly the
@@ -60,12 +65,15 @@ struct AccessRecord {
 class AccessClassifier {
  public:
   explicit AccessClassifier(const ClassifierOptions& options);
+  // The grid and the neighbour caches point into records_.
+  AccessClassifier(const AccessClassifier&) = delete;
+  AccessClassifier& operator=(const AccessClassifier&) = delete;
 
   /// Registers a write of entity (var, box) at time step `step` and
-  /// propagates spatial predictions to neighbours. Returns the number
-  /// of classification decisions taken (for cost accounting).
-  std::size_t record_write(VarId var, const geom::BoundingBox& box,
-                           Version step);
+  /// propagates spatial predictions to neighbours. Returns the entity's
+  /// record, which stays valid for the classifier's lifetime.
+  const AccessRecord& record_write(VarId var, const geom::BoundingBox& box,
+                                   Version step);
 
   /// Registers a read access (no-op unless `count_reads` is enabled).
   void record_read(VarId var, const geom::BoundingBox& box, Version step);
@@ -114,13 +122,20 @@ class AccessClassifier {
     std::size_t operator()(const CellKey& k) const;
   };
   CellKey cell_of(VarId var, const geom::Point& p) const;
-  void index_insert(VarId var, const geom::BoundingBox& box);
-  std::vector<const AccessRecord*> neighbours(
-      VarId var, const geom::BoundingBox& box) const;
+  void index_insert(AccessRecord* r);
+  /// The records within spatial_radius of `r` (excluding `r`), from its
+  /// cache when no entity was indexed since the cache was filled.
+  const std::vector<AccessRecord*>& neighbours(AccessRecord& r);
 
   ClassifierOptions options_;
+  // Invariant: records are never erased, and unordered_map nodes do not
+  // move on rehash, so the AccessRecord* held by grid_ cells, neighbour
+  // caches and callers of record_write() stay valid.
   std::unordered_map<Key, AccessRecord, staging::DescriptorHash> records_;
-  std::unordered_map<CellKey, std::vector<Key>, CellKeyHash> grid_;
+  std::unordered_map<CellKey, std::vector<AccessRecord*>, CellKeyHash> grid_;
+  // Bumped by every index_insert: a neighbour cache filled at an older
+  // generation may miss an entity indexed since.
+  std::uint64_t grid_gen_ = 0;
   geom::Coord cell_size_ = 0;  // derived from the first entity's box
   mutable std::uint64_t decisions_ = 0;
 };

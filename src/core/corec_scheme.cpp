@@ -77,7 +77,8 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   // classification component runs in the put path).
   bd->classify += cost.classify_op;
   SimTime t = service_->serve_at(primary, arrived, cost.classify_op);
-  classifier_.record_write(obj.desc.var, obj.desc.box, step);
+  const AccessRecord& self_rec =
+      classifier_.record_write(obj.desc.var, obj.desc.box, step);
 
   // Previous representation (if any) determines the transition cost.
   Protection prev_protection = Protection::kNone;
@@ -105,7 +106,7 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   // happen *behind* the response, through the token workflow.
   SimTime durable = place_replicated(*service_, obj, primary,
                                      options_.n_level, t, bd);
-  pool_.insert(obj.desc);
+  pool_.try_emplace(obj.desc, &self_rec);
   logical_total_ = static_cast<std::size_t>(
       static_cast<std::ptrdiff_t>(logical_total_) + logical_delta);
 
@@ -116,11 +117,8 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   // than this entity, this entity itself transitions.
   if (!fits_floor(0, 0)) {
     const Version next = step + 1;
-    // record_write above registered this entity, so its record exists.
-    const AccessRecord* self_rec =
-        classifier_.find(obj.desc.var, obj.desc.box);
-    Version self_pred = classifier_.predicted_next(*self_rec, next);
-    double self_freq = self_rec->frequency;
+    Version self_pred = classifier_.predicted_next(self_rec, next);
+    double self_freq = self_rec.frequency;
 
     // Bounded victim sampling: scanning the whole pool on every write
     // is O(entities) and the sweep enforces the floor exactly anyway;
@@ -132,10 +130,9 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
     bool have_victim = false;
     Version victim_pred = self_pred;
     double victim_freq = self_freq;
-    for (const ObjectDescriptor& desc : pool_) {
+    for (const auto& [desc, rec] : pool_) {
       if (examined++ >= kVictimSample) break;
       if (desc == obj.desc) continue;
-      const AccessRecord* rec = classifier_.find(desc.var, desc.box);
       Version pred = rec != nullptr
                          ? classifier_.predicted_next(*rec, next)
                          : AccessClassifier::kNeverVersion;
@@ -349,7 +346,7 @@ void CorecScheme::promote(const ObjectDescriptor& desc, SimTime now) {
   retire_object(*service_, desc);
   place_replicated(*service_, obj, primary, options_.n_level, gathered,
                    &stats_.background);
-  pool_.insert(desc);
+  pool_.try_emplace(desc, classifier_.find(desc.var, desc.box));
   ++stats_.promotions;
 }
 

@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/batched_encoder.hpp"
@@ -152,8 +152,13 @@ class CorecScheme final : public staging::ResilienceScheme {
   /// instead of its I/O burst.
   std::vector<staging::ObjectDescriptor> pending_demotions_;
   /// Current replicated pool (descriptors with Protection::kReplicated)
-  /// — avoids directory scans on the write path's victim search.
-  std::unordered_set<staging::ObjectDescriptor, staging::DescriptorHash>
+  /// — avoids directory scans on the write path's victim search. Each
+  /// entry carries its entity's access record (stable, see
+  /// AccessClassifier), so sampling a victim costs no classifier lookup.
+  /// Keys are inserted and erased exactly as a set of descriptors would
+  /// be, so iteration order — and thus the victim sample — is too.
+  std::unordered_map<staging::ObjectDescriptor, const AccessRecord*,
+                     staging::DescriptorHash>
       pool_;
 };
 

@@ -124,14 +124,16 @@ StripePayload make_stripe_payload(const erasure::Codec& codec,
       view = obj.data.slice(begin, chunk);
     } else {
       // Pool-backed scratch: the padded tail recycles through the slab
-      // magazines instead of a fresh heap carve per demotion.
-      view = PayloadBuffer::zeros(chunk);
+      // magazines instead of a fresh heap carve per demotion. Only the
+      // padding past the payload end is zeroed.
+      view = PayloadBuffer::from_pool(chunk);
+      MutableByteSpan tail = view.mutable_span();
       if (have > 0) {
-        std::memcpy(view.mutable_span().data(), obj.data.data() + begin,
-                    have);
+        std::memcpy(tail.data(), obj.data.data() + begin, have);
         payload_metrics().bytes_copied.fetch_add(
             have, std::memory_order_relaxed);
       }
+      std::memset(tail.data() + have, 0, chunk - have);
     }
     data_spans[i] = view.span();
     stripe.shards.push_back(DataObject::real(
@@ -140,8 +142,9 @@ StripePayload make_stripe_payload(const erasure::Codec& codec,
   }
 
   // Parity: one pooled allocation for all m chunks, written in place
-  // by the fused view kernels, then sliced into per-shard views.
-  PayloadBuffer parity = PayloadBuffer::zeros(chunk * m);
+  // by the fused view kernels (which overwrite every byte, so no
+  // zero-fill), then sliced into per-shard views.
+  PayloadBuffer parity = PayloadBuffer::from_pool(chunk * m);
   if (chunk > 0 && m > 0) {
     MutableByteSpan parity_all = parity.mutable_span();
     std::vector<MutableByteSpan> parity_spans(m);

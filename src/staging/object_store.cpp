@@ -3,22 +3,21 @@
 namespace corec::staging {
 
 Status ObjectStore::put(DataObject object, StoredKind kind) {
-  std::size_t new_bytes = object.logical_size;
-  std::size_t replaced = 0;
-  auto it = entries_.find(object.desc);
-  if (it != entries_.end()) replaced = it->second.object.logical_size;
+  const std::size_t new_bytes = object.logical_size;
+  // One probe: insert an empty entry or find the existing one.
+  auto [it, inserted] = entries_.try_emplace(object.desc);
+  const std::size_t replaced =
+      inserted ? 0 : it->second.object.logical_size;
   if (capacity_ != 0 &&
       total_bytes_ - replaced + new_bytes > capacity_) {
+    if (inserted) entries_.erase(it);  // a refusal leaves nothing behind
     return Status::ResourceExhausted("object store over capacity");
   }
-  if (it != entries_.end()) {
+  if (!inserted) {
     total_bytes_ -= replaced;
     kind_bytes_[static_cast<std::size_t>(it->second.kind)] -= replaced;
-    it->second = StoredObject{std::move(object), kind};
-  } else {
-    ObjectDescriptor key = object.desc;
-    entries_.emplace(key, StoredObject{std::move(object), kind});
   }
+  it->second = StoredObject{std::move(object), kind};
   total_bytes_ += new_bytes;
   kind_bytes_[static_cast<std::size_t>(kind)] += new_bytes;
   return Status::Ok();

@@ -279,13 +279,17 @@ OpResult StagingService::put_impl(VarId var, Version version,
     if (phantom) {
       obj = DataObject::make_phantom(desc, piece.bytes);
     } else {
-      auto payload = extract_region(data, box, piece.box, elem);
-      if (!payload.ok()) {
-        result.status = payload.status();
+      // copy_region writes every byte of the piece, so the pooled
+      // buffer needs no zero-fill first.
+      PayloadBuffer payload = PayloadBuffer::from_pool(piece.bytes);
+      Status st = copy_region(data, box, payload.mutable_span(), piece.box,
+                              piece.box, elem);
+      if (!st.ok()) {
+        result.status = st;
         result.completed = completion;
         return result;
       }
-      obj = DataObject::real(desc, std::move(payload).value());
+      obj = DataObject::real(desc, std::move(payload));
     }
 
     // Region-entity update semantics: a put over the same (var, box)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace corec::core {
@@ -211,6 +212,24 @@ TEST(Classifier, SpatialGridAcrossZeroAndVariables) {
       EXPECT_LT(c.find(2, b)->predicted_hot_until, step)
           << "var 2 box " << b.to_string();
     }
+    step += 10;
+  }
+
+  // An entity indexed after a writer's neighbour cache was filled is
+  // marked on that writer's next write: a stale cache would miss it.
+  const std::pair<geom::Coord, geom::BoundingBox> added_next_to[] = {
+      {27, geom::BoundingBox::cube(-8, -8, 4, -1, -1, 11)},   // above z
+      {60, geom::BoundingBox::cube(24, 0, -12, 31, 7, -5)}};  // below z
+  for (const auto& [written, added] : added_next_to) {
+    const geom::BoundingBox& w = boxes[static_cast<std::size_t>(written)];
+    ASSERT_LE(added.chebyshev_gap(w), opts.spatial_radius);
+    c.record_write(1, w, step);  // fills w's cache without `added`
+    c.record_write(1, added, step + 1);
+    c.record_write(2, added, step + 1);
+    c.record_write(1, w, step + 2);
+    EXPECT_EQ(c.find(1, added)->predicted_hot_until, step + 4)
+        << "entity added next to " << w.to_string();
+    EXPECT_LT(c.find(2, added)->predicted_hot_until, step + 2);
     step += 10;
   }
 }

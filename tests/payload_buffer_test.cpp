@@ -3,12 +3,14 @@
 // paths built on top of them.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/buffer.hpp"
 #include "common/checksum.hpp"
+#include "common/slab.hpp"
 #include "erasure/codec.hpp"
 #include "resilience/primitives.hpp"
 #include "staging/object.hpp"
@@ -202,12 +204,22 @@ TEST(StripePayload, DataShardsAreZeroCopyViewsAndDecodable) {
   auto codec = std::move(erasure::make_reed_solomon(k, m)).value();
   auto payload = pattern_bytes(4 * 1024 - 13, 9);  // forces a padded tail
   auto obj = DataObject::real(desc(11), PayloadBuffer::wrap(Bytes(payload)));
+  const std::size_t chunk = (payload.size() + k - 1) / k;
+  {
+    // Dirty a block of the tail chunk's size class and hand it back to
+    // this thread's magazine, so the tail's padding must be zeroed.
+    slab::Block dirty = slab::allocate(chunk);
+    std::memset(dirty.data(), 0xA5, dirty.capacity());
+  }
 
   payload_metrics().reset();
   auto stripe = resilience::make_stripe_payload(*codec, obj, k, m);
   ASSERT_EQ(stripe.shards.size(), k + m);
-  const std::size_t chunk = stripe.chunk_size;
-  EXPECT_EQ(chunk, (payload.size() + k - 1) / k);
+  EXPECT_EQ(stripe.chunk_size, chunk);
+  const ByteSpan tail = stripe.shards[k - 1].data.span();
+  for (std::size_t i = payload.size() - (k - 1) * chunk; i < chunk; ++i) {
+    EXPECT_EQ(tail[i], 0u) << "tail padding byte " << i;
+  }
 
   // All full data chunks are views into obj's backing store; only the
   // padded tail chunk and the parity block allocate.

@@ -105,6 +105,10 @@ TEST(ObjectStore, CapacityEnforced) {
   Status st = store.put(DataObject::make_phantom(desc(1, 0, 4, 7), 30),
                         StoredKind::kPrimary);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  // The refused put leaves no entry and no bytes behind.
+  EXPECT_EQ(store.count(), 1u);
+  EXPECT_EQ(store.find(desc(1, 0, 4, 7)), nullptr);
+  EXPECT_EQ(store.total_bytes(), 80u);
   // Overwriting the existing entry with something that fits is fine.
   ASSERT_TRUE(store.put(DataObject::make_phantom(desc(1, 0, 0, 3), 95),
                         StoredKind::kPrimary)

@@ -1,7 +1,7 @@
 // Microbenchmarks of the zero-copy data plane: replicated put (shared
 // payload buffers), the CoREC put path (classification, neighbour
 // marking, victim sampling), region get (scatter/gather assembly),
-// the hyperslab copy that stitches pieces into a get's buffer, and the
+// the S3D 32-piece get through the service, the hyperslab copy that stitches pieces into a get's buffer, and the
 // replica→EC transition in token-serial, batched-pipelined, and
 // ring-pipelined form at RS(8,2), plus metadata-directory churn and
 // latest-version lookup on one large version bucket. Counters expose
@@ -480,6 +480,52 @@ void BM_CopyRegion(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_CopyRegion)->Arg(0)->Arg(1);
+
+/// A corec_s3d get through StagingService::get: 32 replicated pieces of
+/// 16^3 doubles read back as one 32x64x64 slab. The directory query,
+/// the 32 piece reads and the assembly of the 1 MiB slab, which the
+/// pieces tile.
+void BM_GetTiled(benchmark::State& state) {
+  using corec::geom::BoundingBox;
+  constexpr std::size_t kElem = 8;
+  corec::staging::ServiceOptions opts = service_options();
+  opts.domain = BoundingBox::cube(0, 0, 0, 63, 63, 63);
+  opts.fit.element_size = kElem;
+  opts.fit.target_bytes = 32u << 10;
+  corec::sim::Simulation sim;
+  StagingService service(
+      opts, &sim,
+      std::make_unique<corec::resilience::ReplicationScheme>(kReplicas));
+  const BoundingBox slab = BoundingBox::cube(0, 0, 0, 31, 63, 63);
+  for (std::int64_t x = 0; x < 64; x += 16) {
+    for (std::int64_t y = 0; y < 64; y += 16) {
+      for (std::int64_t z = 0; z < 64; z += 16) {
+        const auto box = BoundingBox::cube(x, y, z, x + 15, y + 15, z + 15);
+        const Bytes payload = make_payload(box.volume() * kElem,
+                                           static_cast<std::uint8_t>(x + y + z));
+        if (!service.put(1, 0, box, payload).status.ok()) {
+          state.SkipWithError("put failed");
+          return;
+        }
+      }
+    }
+  }
+  Bytes out;
+  std::uint64_t reads = 0;
+  for (auto _ : state) {
+    auto r = service.get(1, 0, slab, &out);
+    if (!r.status.ok()) {
+      state.SkipWithError("get failed");
+      return;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++reads;
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(reads * slab.volume() * kElem));
+}
+BENCHMARK(BM_GetTiled);
 
 /// One (var, version) bucket of n disjoint 8^3 blocks, as one S3D
 /// variable at one time step.

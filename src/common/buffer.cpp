@@ -84,6 +84,17 @@ PayloadBuffer PayloadBuffer::slice(std::size_t offset,
   return view;
 }
 
+bool PayloadBuffer::exclusive() const {
+  if (rep_ == nullptr) return false;
+  // Copying and dropping a shared_ptr are acq_rel read-modify-writes of
+  // its count, so the drop acquires the release each earlier view made
+  // when it dropped; a bare use_count() load would not.
+  std::shared_ptr<Rep> probe = rep_;
+  const bool sole = probe.use_count() == 2;
+  probe.reset();
+  return sole;
+}
+
 MutableByteSpan PayloadBuffer::mutable_span() {
   if (rep_ == nullptr || size_ == 0) return {};
   auto& metrics = payload_metrics();

@@ -125,7 +125,15 @@ class PayloadBuffer {
   }
 
   /// Number of views over this backing store (0 for the empty buffer).
+  /// A relaxed read: it does not order other views' accesses before the
+  /// caller's next ones.
   long use_count() const { return rep_ == nullptr ? 0 : rep_.use_count(); }
+
+  /// True when this is the only view of its backing store. Unlike
+  /// use_count() == 1, a true answer also orders every access other
+  /// views made before they dropped before whatever the caller does
+  /// next, so the caller may rewrite the store in place.
+  bool exclusive() const;
 
   /// Bytes of backing store this view keeps alive (>= size() for a
   /// slice). The serving path uses this to decide when a small view is

@@ -64,8 +64,10 @@ void FrameAssembler::ensure_buffer() {
     parsed_ = 0;
     return;
   }
-  if (parsed_ == filled_ && buf_.use_count() == 1) {
+  if (parsed_ == filled_ && buf_.exclusive()) {
     // Fully parsed and no body slice parks the store: recycle in place.
+    // exclusive() also orders the last reads of slices dropped on other
+    // threads before the next recv() rewrites the store.
     filled_ = 0;
     parsed_ = 0;
     return;

@@ -56,10 +56,24 @@ inline std::uint32_t shard_checksum(const ObjectLocation& loc,
   return i < loc.shard_checksums.size() ? loc.shard_checksums[i] : 0;
 }
 
+/// A query_latest hit together with its placement record.
+struct LocatedDescriptor {
+  ObjectDescriptor desc;
+  const ObjectLocation* loc = nullptr;
+};
+
 /// Metadata directory: descriptor -> location plus a per-(var, version)
 /// geometric index for intersection queries.
 class Directory {
  public:
+  Directory() = default;
+  // Slots point at locations_' nodes, which moving keeps and a copy
+  // would not.
+  Directory(const Directory&) = delete;
+  Directory& operator=(const Directory&) = delete;
+  Directory(Directory&&) = default;
+  Directory& operator=(Directory&&) = default;
+
   /// Registers or updates the location of `desc` (whole objects only).
   void upsert(const ObjectDescriptor& desc, ObjectLocation location);
 
@@ -83,6 +97,17 @@ class Directory {
   std::vector<ObjectDescriptor> query_latest(VarId var, Version version,
                                              const geom::BoundingBox& region)
       const;
+
+  /// query_latest with each descriptor's location. A location pointer
+  /// stays valid until the next remove() (see removals()) or until the
+  /// directory is assigned to; upserts, including in-place location
+  /// updates, keep it valid.
+  std::vector<LocatedDescriptor> query_latest_located(
+      VarId var, Version version, const geom::BoundingBox& region) const;
+
+  /// Number of successful remove() calls so far. A caller holding
+  /// location pointers re-finds them once this moves.
+  std::uint64_t removals() const { return removals_; }
 
   /// Finds the live descriptor of the region entity (var, box): the
   /// currently registered object with exactly this variable and box,
@@ -113,16 +138,28 @@ class Directory {
   };
   struct Slot {
     ObjectDescriptor desc;
+    Entry* entry = nullptr;  // map nodes survive rehash; dangles once dead
     bool live = true;
   };
   // One (var, version) bucket: descriptors in insertion order, removed
   // ones tombstoned in place. Queries visit pieces in this order and the
   // simulated outcome depends on it, so compaction must be stable.
+  // `bounds` mirrors the slots' boxes flat (lo then hi, 2 * dims coords
+  // per slot, dead ones included until compaction) so a query tests
+  // them without touching the slots. A bucket whose boxes differ in
+  // dims is `mixed` and keeps no bounds.
   struct Bucket {
     std::vector<Slot> slots;
+    std::vector<geom::Coord> bounds;
+    std::size_t dims = 0;
+    bool mixed = false;
     std::size_t dead = 0;
   };
   void compact(Bucket& bucket);
+  // Calls emit(slot) for each query_latest hit, in result order.
+  template <typename Emit>
+  void scan_latest(VarId var, Version version,
+                   const geom::BoundingBox& region, Emit&& emit) const;
 
   std::unordered_map<ObjectDescriptor, Entry, DescriptorHash> locations_;
   // (var, version) -> bucket, for geometric queries.
@@ -130,6 +167,7 @@ class Directory {
   // Normalized (var, box) -> live descriptor.
   std::unordered_map<ObjectDescriptor, ObjectDescriptor, DescriptorHash>
       entities_;
+  std::uint64_t removals_ = 0;
 };
 
 }  // namespace corec::staging

@@ -2,6 +2,18 @@
 
 namespace corec::staging {
 
+std::vector<LocatedDescriptor> MetadataPlane::query_latest_located(
+    VarId var, Version version, const geom::BoundingBox& region) const {
+  std::vector<ObjectDescriptor> descs = query_latest(var, version, region);
+  std::vector<LocatedDescriptor> out;
+  out.reserve(descs.size());
+  for (auto& desc : descs) {
+    const ObjectLocation* loc = find(desc);
+    out.push_back({std::move(desc), loc});
+  }
+  return out;
+}
+
 SimTime LocalMetadata::upsert(const ObjectDescriptor& desc,
                               ObjectLocation location) {
   dir_.upsert(desc, std::move(location));
@@ -25,6 +37,11 @@ std::vector<ObjectDescriptor> LocalMetadata::query(
 std::vector<ObjectDescriptor> LocalMetadata::query_latest(
     VarId var, Version version, const geom::BoundingBox& region) const {
   return dir_.query_latest(var, version, region);
+}
+
+std::vector<LocatedDescriptor> LocalMetadata::query_latest_located(
+    VarId var, Version version, const geom::BoundingBox& region) const {
+  return dir_.query_latest_located(var, version, region);
 }
 
 const ObjectDescriptor* LocalMetadata::find_entity(

@@ -42,6 +42,11 @@ class MetadataPlane {
       VarId var, Version version, const geom::BoundingBox& region) const = 0;
   virtual std::vector<ObjectDescriptor> query_latest(
       VarId var, Version version, const geom::BoundingBox& region) const = 0;
+  /// query_latest with each descriptor's location, valid until the next
+  /// removal from state() (Directory::removals). The default pairs
+  /// query_latest with one find per descriptor.
+  virtual std::vector<LocatedDescriptor> query_latest_located(
+      VarId var, Version version, const geom::BoundingBox& region) const;
   virtual const ObjectDescriptor* find_entity(
       VarId var, const geom::BoundingBox& box) const = 0;
   virtual std::size_t size() const = 0;
@@ -94,6 +99,9 @@ class LocalMetadata final : public MetadataPlane {
       VarId var, Version version,
       const geom::BoundingBox& region) const override;
   std::vector<ObjectDescriptor> query_latest(
+      VarId var, Version version,
+      const geom::BoundingBox& region) const override;
+  std::vector<LocatedDescriptor> query_latest_located(
       VarId var, Version version,
       const geom::BoundingBox& region) const override;
   const ObjectDescriptor* find_entity(

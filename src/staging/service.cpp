@@ -21,24 +21,17 @@ std::vector<std::size_t> invert_ring(const std::vector<ServerId>& ring) {
   return pos;
 }
 
-/// True when the parts of `descs` inside `box` are pairwise disjoint and
-/// add up to its volume, i.e. they tile it and each byte is written once.
-/// The O(n^2) pair test runs only after the volumes match.
-bool tiles(const std::vector<ObjectDescriptor>& descs,
+/// True when the source regions (each inside `box`) are pairwise
+/// disjoint and add up to its volume, i.e. they tile it and each byte is
+/// written once. The O(n^2) pair test runs only after the volumes match.
+bool tiles(const std::vector<TileSource>& parts,
            const geom::BoundingBox& box) {
-  std::vector<geom::BoundingBox> parts;
-  parts.reserve(descs.size());
   std::uint64_t covered = 0;
-  for (const auto& desc : descs) {
-    geom::BoundingBox overlap;
-    if (!desc.box.intersect(box, &overlap)) continue;
-    covered += overlap.volume();
-    parts.push_back(overlap);
-  }
+  for (const auto& part : parts) covered += part.region.volume();
   if (covered != box.volume()) return false;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     for (std::size_t j = i + 1; j < parts.size(); ++j) {
-      if (parts[i].intersects(parts[j])) return false;
+      if (parts[i].region.intersects(parts[j].region)) return false;
     }
   }
   return true;
@@ -349,26 +342,25 @@ OpResult StagingService::get(VarId var, Version version,
     return result;
   }
   result.breakdown.metadata += options_.cost.metadata_op;
-  auto descs = meta_->query_latest(var, version, box);
-  if (descs.empty()) {
+  const auto located = meta_->query_latest_located(var, version, box);
+  if (located.empty()) {
     result.status = Status::NotFound("no staged data intersects region");
     result.completed = t0 + options_.cost.metadata_op;
     return result;
   }
+  const std::uint64_t removals = meta_->state().removals();
 
   SimTime start = t0 + options_.cost.metadata_op;
   SimTime completion = start;
-  std::size_t assembled_bytes = 0;
-  // Fetch all pieces (virtually in parallel), then assemble oldest
-  // version first so that where coverage overlaps, the newest write
-  // lands last and wins. Pieces are shared buffer views — a replicated
-  // read costs a refcount bump, not a payload copy; the only real copy
-  // is the hyperslab assembly into the caller's buffer below.
-  std::vector<PayloadBuffer> pieces(out != nullptr ? descs.size() : 0);
-  for (std::size_t i = 0; i < descs.size(); ++i) {
+  // Fetch all pieces (virtually in parallel), then assemble them. Pieces
+  // are shared buffer views — a replicated read costs a refcount bump,
+  // not a payload copy; the only real copy is the hyperslab assembly
+  // into the caller's buffer below.
+  std::vector<PayloadBuffer> pieces(out != nullptr ? located.size() : 0);
+  for (std::size_t i = 0; i < located.size(); ++i) {
     PayloadBuffer* piece_out = out != nullptr ? &pieces[i] : nullptr;
-    auto done =
-        read_piece(descs[i], box, start, piece_out, &result.breakdown);
+    auto done = read_piece(located[i].desc, located[i].loc, removals, box,
+                           start, piece_out, &result.breakdown);
     if (!done.ok()) {
       result.status = done.status();
       result.completed = std::max(completion, start);
@@ -376,33 +368,45 @@ OpResult StagingService::get(VarId var, Version version,
     }
     completion = std::max(completion, done.value());
   }
-  if (out != nullptr) {
-    // Real pieces that tile the request overwrite every output byte, so
-    // the buffer needs no zero-fill; otherwise holes must read as zero.
-    const std::size_t bytes = static_cast<std::size_t>(box.volume()) * elem;
-    const bool all_real =
-        std::none_of(pieces.begin(), pieces.end(),
-                     [](const PayloadBuffer& p) { return p.empty(); });
-    if (all_real && tiles(descs, box)) {
-      out->resize(bytes);
-    } else {
-      out->assign(bytes, 0);
-    }
+
+  std::size_t assembled_bytes = 0;
+  std::vector<TileSource> parts;
+  parts.reserve(located.size());
+  bool all_real = true;
+  for (std::size_t i = 0; i < located.size(); ++i) {
+    const geom::BoundingBox& piece_box = located[i].desc.box;
+    TileSource part;
+    if (!piece_box.intersect(box, &part.region)) continue;
+    assembled_bytes += static_cast<std::size_t>(part.region.volume()) * elem;
+    if (out == nullptr) continue;
+    all_real = all_real && !pieces[i].empty();
+    part.data = pieces[i].span();
+    part.box = &piece_box;
+    parts.push_back(part);
   }
-  for (std::size_t ri = descs.size(); ri-- > 0;) {
-    const auto& desc = descs[ri];
-    geom::BoundingBox overlap;
-    if (!desc.box.intersect(box, &overlap)) continue;
-    assembled_bytes +=
-        static_cast<std::size_t>(overlap.volume()) * elem;
-    if (out != nullptr && !pieces[ri].empty()) {
-      Status st = copy_region(pieces[ri].span(), desc.box,
-                              MutableByteSpan(*out), box, overlap, elem);
-      if (!st.ok()) {
-        result.status = st;
-        result.completed = completion;
-        return result;
+  if (out != nullptr) {
+    const std::size_t bytes = static_cast<std::size_t>(box.volume()) * elem;
+    Status st;
+    if (all_real && tiles(parts, box)) {
+      // Real pieces that tile the request overwrite every output byte,
+      // so the buffer needs no zero-fill, and each byte has one writer,
+      // so they are written in destination order.
+      out->resize(bytes);
+      st = gather_tiles(parts, MutableByteSpan(*out), box, elem);
+    } else {
+      // Holes read as zero; where coverage overlaps, the oldest version
+      // is copied first so the newest write lands last and wins.
+      out->assign(bytes, 0);
+      for (std::size_t ri = parts.size(); ri-- > 0 && st.ok();) {
+        if (parts[ri].data.empty()) continue;
+        st = copy_region(parts[ri].data, *parts[ri].box,
+                         MutableByteSpan(*out), box, parts[ri].region, elem);
       }
+    }
+    if (!st.ok()) {
+      result.status = st;
+      result.completed = completion;
+      return result;
     }
   }
 
@@ -415,12 +419,16 @@ OpResult StagingService::get(VarId var, Version version,
 }
 
 StatusOr<SimTime> StagingService::read_piece(const ObjectDescriptor& desc,
+                                             const ObjectLocation* loc,
+                                             std::uint64_t removals,
                                              const geom::BoundingBox& requested,
                                              SimTime start,
                                              PayloadBuffer* piece_out,
                                              Breakdown* bd) {
   scheme_->on_access(desc, start);
-  const ObjectLocation* loc = meta_->find(desc);
+  // An in-place update (on_access may repair the piece) shows through
+  // `loc`; a removal since the query may have freed its entry.
+  if (meta_->state().removals() != removals) loc = meta_->find(desc);
   if (loc == nullptr) {
     return Status::NotFound("object missing from directory: " +
                             desc.to_string());

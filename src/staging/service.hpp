@@ -253,14 +253,17 @@ class StagingService {
   double storage_efficiency() const;
 
  private:
-  // One fitted piece read. Only the part of the piece inside
-  // `requested` is shipped (and, in degraded mode, reconstructed);
-  // `fraction` of the piece's bytes is charged. Returns completion
-  // time; hands the piece's real bytes out through `piece_out` when
+  // One fitted piece read, `loc` as query_latest_located found it
+  // after `removals` directory removals. Only the part of the piece
+  // inside `requested` is shipped (and, in degraded mode,
+  // reconstructed); `fraction` of the piece's bytes is charged. Returns
+  // completion time; hands the piece's real bytes out through `piece_out` when
   // non-null — a replicated read is a refcount bump on the holder's
   // buffer, an encoded read gathers the chunk views into one exact
   // allocation.
   StatusOr<SimTime> read_piece(const ObjectDescriptor& desc,
+                               const ObjectLocation* loc,
+                               std::uint64_t removals,
                                const geom::BoundingBox& requested,
                                SimTime start, PayloadBuffer* piece_out,
                                Breakdown* bd);

@@ -183,12 +183,13 @@ TEST(MetaReplicaTest, SnapshotExtendsDurability) {
 TEST(MetaReplicaTest, MaterializeRestoresSnapshotPlusTail) {
   MetaReplica r(2);
   Directory base;
+  Directory expected;  // base, then the log tail
   for (std::uint64_t i = 1; i <= 4; ++i) {
     staging::apply_op_record(make_op(i), &base);
+    staging::apply_op_record(make_op(i), &expected);
   }
   r.install_snapshot(staging::snapshot_directory(base), 4, 40,
                      /*truncate_log=*/false);
-  Directory expected = base;
   for (std::uint64_t i = 5; i <= 7; ++i) {
     OpRecord op = make_op(i);
     r.accept(op, 40 + static_cast<SimTime>(i));

@@ -406,5 +406,134 @@ TEST(Directory, MatchesReferenceUnderChurn) {
   }
 }
 
+// Checks query_latest and query_latest_located against the reference
+// scan: the same descriptors in the same order, each located with
+// find()'s pointer.
+void expect_latest_matches(const Directory& dir, const ReferenceDirectory& ref,
+                           VarId var, Version v,
+                           const geom::BoundingBox& region) {
+  SCOPED_TRACE("var " + std::to_string(var) + " v " + std::to_string(v) +
+               " region " + region.to_string());
+  const auto want = ref.query_latest(var, v, region);
+  ASSERT_EQ(dir.query_latest(var, v, region), want);
+  const auto located = dir.query_latest_located(var, v, region);
+  ASSERT_EQ(located.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(located[i].desc, want[i]);
+    EXPECT_EQ(located[i].loc, dir.find(want[i]));
+  }
+}
+
+// Random overlapping boxes over several versions of one variable, with
+// removals that tombstone and then compact buckets. Version 5 also
+// holds 3-D boxes (a mixed-dims bucket) until removals may compact them
+// away, and some queries are 3-D. Large regions over many small boxes
+// pass the fragment cap.
+TEST(Directory, QueryLatestMatchesReferenceScan) {
+  Directory dir;
+  ReferenceDirectory ref;
+  std::mt19937_64 rng(20260518);
+  auto pick = [&](std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+  };
+  auto random_box = [&](std::size_t dims, geom::Coord span,
+                        geom::Coord max_extent) {
+    geom::Point lo, hi;
+    lo.dims = hi.dims = dims;
+    for (std::size_t d = 0; d < dims; ++d) {
+      lo[d] = static_cast<geom::Coord>(pick(static_cast<std::uint64_t>(span)));
+      hi[d] = lo[d] +
+              static_cast<geom::Coord>(pick(static_cast<std::uint64_t>(max_extent)));
+    }
+    return geom::BoundingBox(lo, hi);
+  };
+  std::vector<ObjectDescriptor> registered;
+  std::size_t removed = 0;
+  for (int round = 0; round < 30; ++round) {
+    for (int i = 0; i < 60; ++i) {
+      const auto v = static_cast<Version>(pick(6));
+      const std::size_t dims = v == 5 && pick(3) == 0 ? 3 : 2;
+      const ObjectDescriptor d{1, v, random_box(dims, 40, 12), kWholeObject};
+      const ObjectLocation l = loc(static_cast<ServerId>(pick(8)));
+      dir.upsert(d, l);
+      ref.upsert(d, l);
+      registered.push_back(d);
+    }
+    for (int i = 0; i < 30; ++i) {
+      const ObjectDescriptor& d = registered[pick(registered.size())];
+      const bool was = ref.remove(d);
+      ASSERT_EQ(dir.remove(d), was);
+      removed += was ? 1 : 0;
+    }
+    ASSERT_EQ(dir.removals(), removed);
+    for (int q = 0; q < 20; ++q) {
+      const auto v = static_cast<Version>(pick(7));
+      const std::size_t dims = pick(5) == 0 ? 3 : 2;
+      const geom::BoundingBox region =
+          pick(4) == 0 ? random_box(dims, 4, 60) : random_box(dims, 40, 16);
+      expect_latest_matches(dir, ref, 1, v, region);
+    }
+  }
+}
+
+// Past 64 uncovered fragments the shadow test gives up and returns every
+// intersecting descriptor, shadowed ones too, including those outside
+// what was still uncovered when it gave up.
+TEST(Directory, QueryLatestFallsBackPastTheFragmentCap) {
+  Directory dir;
+  ReferenceDirectory ref;
+  auto add = [&](const ObjectDescriptor& d) {
+    dir.upsert(d, loc(1));
+    ref.upsert(d, loc(1));
+  };
+  const ObjectDescriptor shadowed = mk(1, 0, 10, 10, 12, 12);
+  add(shadowed);
+  add(mk(1, 1, 0, 0, 99, 99));  // covers the whole region
+  // Version 2 leaves only the strip y 90..99 uncovered, then puts 40
+  // points in it at distinct x: each cuts the slab right of the last one
+  // into four, three fragments more each time.
+  add(mk(1, 2, 0, 0, 99, 89));
+  for (geom::Coord i = 0; i < 40; ++i) {
+    const geom::Coord x = 2 + 2 * i, y = 91 + (i * 37) % 8;
+    add(mk(1, 2, x, y, x, y));
+  }
+  const auto region = geom::BoundingBox::rect(0, 0, 99, 99);
+  expect_latest_matches(dir, ref, 1, 2, region);
+  const auto got = dir.query_latest(1, 2, region);
+  EXPECT_NE(std::find(got.begin(), got.end(), shadowed), got.end());
+  EXPECT_EQ(got.size(), 43u);
+}
+
+// A bucket holding 2-D and 3-D boxes answers a 2-D region with its 2-D
+// boxes only, and answers the same once removals compact it back to
+// one dimensionality.
+TEST(Directory, QueryLatestOverMixedDimsBucket) {
+  Directory dir;
+  ReferenceDirectory ref;
+  auto add = [&](const ObjectDescriptor& d) {
+    dir.upsert(d, loc(1));
+    ref.upsert(d, loc(1));
+  };
+  const auto flat = geom::BoundingBox::rect(0, 0, 9, 9);
+  std::vector<ObjectDescriptor> cubes;
+  for (geom::Coord i = 0; i < 4; ++i) {
+    cubes.push_back({1, 0, geom::BoundingBox::cube(i, 0, 0, i, 9, 9),
+                     kWholeObject});
+    add(cubes.back());
+    add(mk(1, 0, 2 * i, 0, 2 * i + 1, 9));
+  }
+  expect_latest_matches(dir, ref, 1, 0, flat);
+  expect_latest_matches(dir, ref, 1, 0, geom::BoundingBox::cube(0, 0, 0, 9, 9, 9));
+  for (const auto& c : cubes) {
+    EXPECT_TRUE(dir.remove(c));
+    EXPECT_TRUE(ref.remove(c));
+    expect_latest_matches(dir, ref, 1, 0, flat);
+  }
+  EXPECT_EQ(dir.query_latest(1, 0, flat).size(), 4u);
+  EXPECT_EQ(dir.removals(), 4u);
+  EXPECT_FALSE(dir.remove(cubes[0]));
+  EXPECT_EQ(dir.removals(), 4u);
+}
+
 }  // namespace
 }  // namespace corec::staging

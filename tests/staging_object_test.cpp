@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "staging/hyperslab.hpp"
@@ -315,6 +317,125 @@ TEST(Hyperslab, MatchesReferenceWhenOnlyOneSideIsContiguous) {
 
 TEST(Hyperslab, MatchesReferenceForSinglePoint) {
   check_against_reference(Shape::kSinglePoint, 14);
+}
+
+// Splits `box` into a random guillotine tiling of uneven pieces. Half
+// the cuts go across the innermost dimension, so pieces sharing every
+// outer range (one gather group) are common, and so are groups of one.
+void random_tiling(Rng& rng, const geom::BoundingBox& box, int depth,
+                   std::vector<geom::BoundingBox>* out) {
+  const std::size_t inner = box.dims() - 1;
+  std::vector<std::size_t> cuttable;
+  for (std::size_t d = 0; d < box.dims(); ++d) {
+    if (box.extent(d) >= 2) cuttable.push_back(d);
+  }
+  if (depth == 0 || cuttable.empty() || rng.uniform(5) == 0) {
+    out->push_back(box);
+    return;
+  }
+  const std::size_t d =
+      rng.uniform(2) == 0 && box.extent(inner) >= 2
+          ? inner
+          : cuttable[rng.uniform(static_cast<std::uint32_t>(cuttable.size()))];
+  const geom::Coord cut = box.lo()[d] + rng.uniform_range(1, box.extent(d) - 1);
+  geom::Point lower_hi = box.hi(), upper_lo = box.lo();
+  lower_hi[d] = cut - 1;
+  upper_lo[d] = cut;
+  random_tiling(rng, geom::BoundingBox(box.lo(), lower_hi), depth - 1, out);
+  random_tiling(rng, geom::BoundingBox(upper_lo, box.hi()), depth - 1, out);
+}
+
+// gather_tiles against one copy_region per piece on seeded random
+// tilings: 1-4 dims, element sizes 1, 3 and 8, source boxes wider than
+// their pieces, sources in shuffled order. Half the destinations are
+// wider than the tiled box and start as random bytes, so a write
+// outside the pieces is caught as well as a missing one.
+TEST(Hyperslab, GatherTilesMatchesPerPieceCopyRegion) {
+  Rng rng(21);
+  int shared_outer = 0;  // trials with a group of two or more
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (std::size_t elem : {1, 3, 8}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        geom::Point lo, hi;
+        lo.dims = hi.dims = dims;
+        for (std::size_t d = 0; d < dims; ++d) {
+          lo[d] = rng.uniform_range(-4, 4);
+          hi[d] = lo[d] + rng.uniform_range(0, 6);
+        }
+        const geom::BoundingBox tiled(lo, hi);
+        auto any = [](std::size_t) { return true; };
+        const geom::BoundingBox dst_box =
+            rng.uniform(2) == 0 ? tiled : grow(rng, tiled, any);
+        std::vector<geom::BoundingBox> regions;
+        random_tiling(rng, tiled, 6, &regions);
+
+        std::vector<geom::BoundingBox> src_boxes;
+        std::vector<Bytes> srcs;
+        for (const auto& region : regions) {
+          src_boxes.push_back(grow(rng, region, any));
+          Bytes src(src_boxes.back().volume() * elem);
+          for (auto& b : src) b = static_cast<std::uint8_t>(rng.next_u32());
+          srcs.push_back(std::move(src));
+        }
+        Bytes want(dst_box.volume() * elem);
+        for (auto& b : want) b = static_cast<std::uint8_t>(rng.next_u32());
+        Bytes got = want;
+        std::vector<TileSource> sources;
+        for (std::size_t i = 0; i < regions.size(); ++i) {
+          ASSERT_TRUE(copy_region(srcs[i], src_boxes[i], MutableByteSpan(want),
+                                  dst_box, regions[i], elem)
+                          .ok());
+          sources.push_back({srcs[i], &src_boxes[i], regions[i]});
+        }
+        for (std::size_t i = sources.size(); i > 1; --i) {
+          std::swap(sources[i - 1],
+                    sources[rng.uniform(static_cast<std::uint32_t>(i))]);
+        }
+        auto same_outer = [dims](const geom::BoundingBox& a,
+                                 const geom::BoundingBox& b) {
+          for (std::size_t d = 0; d + 1 < dims; ++d) {
+            if (a.lo()[d] != b.lo()[d] || a.hi()[d] != b.hi()[d]) {
+              return false;
+            }
+          }
+          return true;
+        };
+        bool shared = false;
+        for (std::size_t i = 0; i < regions.size(); ++i) {
+          for (std::size_t j = i + 1; j < regions.size(); ++j) {
+            shared = shared || same_outer(regions[i], regions[j]);
+          }
+        }
+        shared_outer += shared ? 1 : 0;
+        SCOPED_TRACE("dst " + dst_box.to_string() + " tiled " +
+                     tiled.to_string() + " pieces " +
+                     std::to_string(regions.size()) + " elem " +
+                     std::to_string(elem));
+        ASSERT_TRUE(
+            gather_tiles(sources, MutableByteSpan(got), dst_box, elem).ok());
+        ASSERT_EQ(got, want);
+      }
+    }
+  }
+  EXPECT_GT(shared_outer, 200);
+}
+
+TEST(Hyperslab, GatherTilesRejectsWhatCopyRegionRejects) {
+  const auto box = geom::BoundingBox::rect(0, 0, 3, 3);
+  const auto left = geom::BoundingBox::rect(0, 0, 3, 1);
+  const auto right = geom::BoundingBox::rect(0, 2, 3, 3);
+  Bytes src(16), dst(16);
+  std::vector<TileSource> sources{{src, &left, left}, {src, &right, right}};
+  EXPECT_TRUE(gather_tiles(sources, MutableByteSpan(dst), box, 1).ok());
+  // A region outside its source box.
+  sources[1].region = geom::BoundingBox::rect(0, 1, 3, 3);
+  EXPECT_EQ(gather_tiles(sources, MutableByteSpan(dst), box, 1).code(),
+            StatusCode::kInvalidArgument);
+  // A destination smaller than its box.
+  sources[1].region = right;
+  Bytes small(15);
+  EXPECT_EQ(gather_tiles(sources, MutableByteSpan(small), box, 1).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "resilience/schemes.hpp"
 #include "staging/hyperslab.hpp"
+#include "staging/metadata.hpp"
 #include "staging/service.hpp"
 
 namespace corec::staging {
@@ -315,24 +317,22 @@ struct SlabPut {
   Bytes bytes;
 };
 
-// What a read of `region` as of `version` must return: each x-plane
-// comes from the newest put covering it, and a plane no put covers is
-// zero. `puts` is in version order.
+// What a read of `region` as of `version` must return: each point comes
+// from the newest put covering it, and a point no put covers is zero.
+// `puts` is in version order.
 Bytes expected_read(const std::vector<SlabPut>& puts, Version version,
                     const geom::BoundingBox& region) {
-  constexpr std::size_t kPlane = 64;
   Bytes want(static_cast<std::size_t>(region.volume()), 0);
-  for (geom::Coord x = region.lo()[0]; x <= region.hi()[0]; ++x) {
-    for (const SlabPut& p : puts) {
-      if (p.version > version || x < p.box.lo()[0] || x > p.box.hi()[0]) {
-        continue;
+  geom::Point p = region.lo();
+  for (auto& byte : want) {
+    for (const SlabPut& put : puts) {
+      if (put.version <= version && put.box.contains(p)) {
+        byte = put.bytes[geom::linear_offset(put.box, p)];
       }
-      std::copy_n(
-          p.bytes.begin() + static_cast<std::ptrdiff_t>(
-                                (x - p.box.lo()[0]) * kPlane),
-          kPlane,
-          want.begin() + static_cast<std::ptrdiff_t>(
-                             (x - region.lo()[0]) * kPlane));
+    }
+    for (std::size_t d = region.dims(); d-- > 0;) {
+      if (++p[d] <= region.hi()[d]) break;
+      p[d] = region.lo()[d];
     }
   }
   return want;
@@ -368,6 +368,126 @@ TEST(StagingService, GetWritesEveryByteWhetherPiecesTileOrNot) {
   // Pieces slab(4, 11) and slab(8, 15) add up to the request's volume
   // but overlap on x 8..11, leaving x 16..19 as a hole.
   check(1, slab(4, 19));
+
+  // An uneven 3-D tiling of x 16..27, y 0..13, z 2..12: pieces that
+  // share their x and y ranges split z unevenly, and one spans z whole.
+  auto cube = [](geom::Coord x0, geom::Coord y0, geom::Coord z0,
+                 geom::Coord x1, geom::Coord y1, geom::Coord z1) {
+    return geom::BoundingBox::cube(x0, y0, z0, x1, y1, z1);
+  };
+  put(2, cube(16, 0, 2, 20, 5, 4), 4);
+  put(2, cube(16, 0, 5, 20, 5, 12), 5);
+  put(2, cube(16, 6, 2, 20, 13, 12), 6);
+  put(2, cube(21, 0, 7, 27, 8, 9), 7);
+  put(2, cube(21, 0, 2, 27, 8, 6), 8);
+  put(2, cube(21, 0, 10, 27, 8, 12), 9);
+  put(2, cube(21, 9, 11, 27, 13, 12), 10);
+  put(2, cube(21, 9, 2, 27, 13, 10), 11);
+  check(2, cube(16, 0, 2, 27, 13, 12));  // the whole tiling
+  check(2, cube(17, 1, 3, 26, 12, 11));  // clipped, still a tiling
+  check(2, cube(19, 4, 0, 23, 10, 12));  // z 0..1 is a hole
+}
+
+// A LocalMetadata that counts find() calls.
+class CountingMetadata final : public MetadataPlane {
+ public:
+  SimTime upsert(const ObjectDescriptor& desc,
+                 ObjectLocation location) override {
+    return inner_.upsert(desc, std::move(location));
+  }
+  bool remove(const ObjectDescriptor& desc) override {
+    return inner_.remove(desc);
+  }
+  const ObjectLocation* find(const ObjectDescriptor& desc) const override {
+    ++finds;
+    return inner_.find(desc);
+  }
+  std::vector<ObjectDescriptor> query(
+      VarId var, Version version,
+      const geom::BoundingBox& region) const override {
+    return inner_.query(var, version, region);
+  }
+  std::vector<ObjectDescriptor> query_latest(
+      VarId var, Version version,
+      const geom::BoundingBox& region) const override {
+    return inner_.query_latest(var, version, region);
+  }
+  std::vector<LocatedDescriptor> query_latest_located(
+      VarId var, Version version,
+      const geom::BoundingBox& region) const override {
+    return inner_.query_latest_located(var, version, region);
+  }
+  const ObjectDescriptor* find_entity(
+      VarId var, const geom::BoundingBox& box) const override {
+    return inner_.find_entity(var, box);
+  }
+  std::size_t size() const override { return inner_.size(); }
+  void for_each(const VisitFn& fn) const override { inner_.for_each(fn); }
+  const Directory& state() const override { return inner_.state(); }
+
+  mutable int finds = 0;
+
+ private:
+  LocalMetadata inner_;
+};
+
+// No protection, plus a hook run whenever the service reads a piece.
+class AccessHookScheme final : public ResilienceScheme {
+ public:
+  std::string name() const override { return "access-hook"; }
+  void bind(StagingService* service) override {
+    ResilienceScheme::bind(service);
+    inner_.bind(service);
+  }
+  SimTime protect(const DataObject& obj, ServerId primary,
+                  const ObjectDescriptor* previous, SimTime arrived,
+                  Breakdown* bd) override {
+    return inner_.protect(obj, primary, previous, arrived, bd);
+  }
+  void on_access(const ObjectDescriptor& desc, SimTime) override {
+    if (hook) hook(desc);
+  }
+
+  std::function<void(const ObjectDescriptor&)> hook;
+
+ private:
+  NoneScheme inner_;
+};
+
+// A get reads each piece's location as its directory query found it,
+// with no find() of its own, until a removal lands between the query
+// and a read; from then on every piece is found again.
+TEST(StagingService, RemovalDuringGetMakesLaterPiecesFindAgain) {
+  auto owned = std::make_unique<AccessHookScheme>();
+  AccessHookScheme* scheme = owned.get();
+  ServiceFixture f(std::move(owned));
+  CountingMetadata meta;
+  f.service.attach_metadata(&meta);
+  std::vector<SlabPut> puts;
+  for (const auto& box : {slab(0, 7), slab(8, 15)}) {
+    puts.push_back({0, box, pattern_for(box, 3)});
+    ASSERT_TRUE(f.service.put(1, 0, box, puts.back().bytes).status.ok());
+  }
+  ASSERT_TRUE(f.service.put(2, 0, slab(0, 7), puts[0].bytes).status.ok());
+  const ObjectDescriptor other = meta.query_latest(2, 0, slab(0, 7)).at(0);
+  const Bytes want = expected_read(puts, 0, slab(0, 15));
+
+  Bytes out;
+  meta.finds = 0;
+  ASSERT_TRUE(f.service.get(1, 0, slab(0, 15), &out).status.ok());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(meta.finds, 0);
+
+  // An unrelated removal while the first piece is read.
+  scheme->hook = [&](const ObjectDescriptor&) { meta.remove(other); };
+  ASSERT_TRUE(f.service.get(1, 0, slab(0, 15), &out).status.ok());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(meta.finds, 2);
+
+  // A piece removed just before its read is missing, not read stale.
+  scheme->hook = [&](const ObjectDescriptor& desc) { meta.remove(desc); };
+  EXPECT_EQ(f.service.get(1, 0, slab(0, 15), &out).status.code(),
+            StatusCode::kNotFound);
 }
 
 TEST(StagingService, CorruptReplicaIsQuarantinedAndReadFailsOver) {

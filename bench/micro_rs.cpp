@@ -99,40 +99,6 @@ void BM_RsDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RsDecode)->Arg(1)->Arg(2)->Arg(3);
 
-// Ring-pipeline building block: parity accumulated hop by hop through
-// encode_partial_view (each hop folds a contiguous run of coefficient
-// columns) versus the one-shot fused encode above. Measures the cost of
-// splitting the same k-source multiply-accumulate across `hops` calls —
-// the compute half of the pipelined encoder's per-hop work.
-void BM_RsPartialAccumulate(benchmark::State& state) {
-  auto k = static_cast<std::size_t>(state.range(0));
-  auto m = static_cast<std::size_t>(state.range(1));
-  auto block = static_cast<std::size_t>(state.range(2));
-  auto hops = static_cast<std::size_t>(state.range(3));
-  Fixture f(k, m, block, RsConstruction::kVandermonde);
-  for (auto _ : state) {
-    std::size_t at = 0;
-    for (std::size_t j = 0; j < hops; ++j) {
-      const std::size_t len = k / hops + (j < k % hops ? 1 : 0);
-      benchmark::DoNotOptimize(
-          f.codec
-              ->encode_partial_view(f.data_spans.data() + at, at, len,
-                                    f.parity_spans.data(), m,
-                                    /*accumulate=*/j > 0)
-              .ok());
-      at += len;
-    }
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k * block));
-}
-BENCHMARK(BM_RsPartialAccumulate)
-    ->Args({8, 2, 64 << 10, 1})  // one-shot baseline via the same API
-    ->Args({8, 2, 64 << 10, 3})  // primary + 2 replica holders
-    ->Args({8, 2, 64 << 10, 8})  // one chunk per hop (max ring)
-    ->Args({8, 2, 1 << 20, 3})
-    ->Args({10, 4, 256 << 10, 3});
-
 void BM_RsUpdateParity(benchmark::State& state) {
   Fixture f(6, 2, 256 << 10, RsConstruction::kVandermonde);
   (void)f.codec->encode(f.data_spans, f.parity_spans);

@@ -1,25 +1,22 @@
 // Microbenchmarks of the zero-copy data plane: replicated put (shared
 // payload buffers), the CoREC put path (classification, neighbour
 // marking, victim sampling), region get (scatter/gather assembly),
-// the S3D 32-piece get through the service, the hyperslab copy that stitches pieces into a get's buffer, and the
-// replica→EC transition in token-serial, batched-pipelined, and
-// ring-pipelined form at RS(8,2), plus metadata-directory churn and
+// the S3D 32-piece get through the service, the hyperslab copy that
+// stitches pieces into a get's buffer, and the token-serial replica→EC
+// transition at RS(8,2), plus metadata-directory churn and
 // latest-version lookup on one large version bucket. Counters expose
 // the payload-traffic invariants the buffers are meant to deliver —
 // allocations and bytes copied per object, CRC recomputes vs cache
-// hits, max per-node bytes on the wire and per-node encode CPU — so
-// BENCH_staging.json tracks copy-count and traffic-placement
-// regressions PR over PR, not just wall time.
+// hits — so BENCH_staging.json tracks copy-count regressions PR over
+// PR, not just wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/batched_encoder.hpp"
 #include "core/corec_scheme.hpp"
 #include "core/encoding_workflow.hpp"
-#include "core/pipelined_encoder.hpp"
 #include "resilience/primitives.hpp"
 #include "resilience/schemes.hpp"
 #include "staging/directory.hpp"
@@ -32,10 +29,7 @@ using corec::Bytes;
 using corec::PayloadBuffer;
 using corec::ServerId;
 using corec::SimTime;
-using corec::core::BatchedEncoder;
-using corec::core::BatchOptions;
 using corec::core::EncodingWorkflow;
-using corec::core::PipelinedEncoder;
 using corec::staging::DataObject;
 using corec::staging::ObjectDescriptor;
 using corec::staging::StagingService;
@@ -239,8 +233,8 @@ std::vector<ServerId> holders_of(const StagingService& service,
   return holders;
 }
 
-/// Baseline replica→EC transition: one token round-trip and one inline
-/// single-threaded stripe build per object.
+/// Token-serial replica→EC transition: one token round-trip and one
+/// inline stripe build per object.
 void BM_TransitionPerObject(benchmark::State& state) {
   const std::size_t objects = 64;
   const std::size_t size = 1u << 20;  // 64 MiB of cold data per drain
@@ -282,134 +276,9 @@ void BM_TransitionPerObject(benchmark::State& state) {
   state.counters["sim_GBps"] =
       static_cast<double>(objects * size) /
       (static_cast<double>(sim_ns) / 1e9) / 1e9;
-  // Centralized hot spot, analytic per stripe: the encoder node ships
-  // k+m-1 chunks and runs the whole k×m multiply-accumulate itself.
-  {
-    Harness probe;
-    const std::size_t chunk = size / kK;
-    state.counters["max_node_bytes_per_obj"] =
-        static_cast<double>((kK + kM - 1) * chunk);
-    state.counters["max_node_cpu_us_per_obj"] =
-        static_cast<double>(probe.service.cost().encode_time(kK, kM, chunk)) /
-        1e3;
-  }
   state.SetBytesProcessed(static_cast<std::int64_t>(moved * size));
 }
 BENCHMARK(BM_TransitionPerObject)->Unit(benchmark::kMillisecond);
-
-/// Batched pipelined transition of the same 64 MiB cold set: stripe
-/// prep fans out over the thread pool, verify of batch i+1 overlaps
-/// encode of batch i, and each batch holds the token once.
-void BM_TransitionBatched(benchmark::State& state) {
-  const std::size_t objects = 64;
-  const std::size_t size = 1u << 20;
-  BatchOptions opts;
-  opts.max_batch_bytes = 64u << 20;
-  std::uint64_t moved = 0;
-  std::uint64_t tokens = 0;
-  SimTime sim_ns = 0;
-  corec::payload_metrics().reset();
-  for (auto _ : state) {
-    state.PauseTiming();
-    Harness h;
-    EncodingWorkflow workflow(&h.service, kReplicas + 1, {});
-    BatchedEncoder encoder(&h.service, &workflow, kK, kM, opts);
-    auto set = transition_set(objects, size);
-    corec::staging::Breakdown bd;
-    state.ResumeTiming();
-    for (std::size_t i = 0; i < objects; ++i) {
-      ServerId primary =
-          static_cast<ServerId>(i % h.service.num_servers());
-      encoder.enqueue(set[i], primary, holders_of(h.service, primary));
-    }
-    SimTime last = encoder.drain(0, &bd);
-    benchmark::DoNotOptimize(last);
-    moved += encoder.stats().objects;
-    tokens = encoder.stats().token_acquires;
-    sim_ns = last;
-  }
-  state.counters["copied_bytes_per_obj"] =
-      static_cast<double>(
-          corec::payload_metrics().bytes_copied.load()) /
-      static_cast<double>(moved);
-  state.counters["token_acquires_per_drain"] =
-      static_cast<double>(tokens);
-  state.counters["sim_drain_ms"] = static_cast<double>(sim_ns) / 1e6;
-  state.counters["sim_GBps"] =
-      static_cast<double>(objects * size) /
-      (static_cast<double>(sim_ns) / 1e9) / 1e9;
-  // Batching amortizes the token but each stripe still encodes on one
-  // node: the same centralized per-stripe hot spot as token-serial.
-  {
-    Harness probe;
-    const std::size_t chunk = size / kK;
-    state.counters["max_node_bytes_per_obj"] =
-        static_cast<double>((kK + kM - 1) * chunk);
-    state.counters["max_node_cpu_us_per_obj"] =
-        static_cast<double>(probe.service.cost().encode_time(kK, kM, chunk)) /
-        1e3;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(moved * size));
-}
-BENCHMARK(BM_TransitionBatched)->Unit(benchmark::kMillisecond);
-
-/// Ring-pipelined transition of the same 64 MiB cold set: each stripe's
-/// parity accumulates hop by hop along its replica holders, so compute
-/// and parity transfer overlap and no node touches more than its own
-/// coefficient run plus the in-flight parity frame. The headline
-/// counters are the traffic-placement ones: max bytes any single node
-/// moves for one stripe and max per-node encode CPU, vs the analytic
-/// (k+m-1)-chunk / full-encode hot spot of the centralized paths.
-void BM_TransitionPipelined(benchmark::State& state) {
-  const std::size_t objects = 64;
-  const std::size_t size = 1u << 20;
-  std::uint64_t moved = 0;
-  std::uint64_t tokens = 0;
-  std::uint64_t rings = 0;
-  std::uint64_t max_node_bytes = 0;
-  SimTime max_node_cpu = 0;
-  SimTime sim_ns = 0;
-  corec::payload_metrics().reset();
-  for (auto _ : state) {
-    state.PauseTiming();
-    Harness h;
-    EncodingWorkflow workflow(&h.service, kReplicas + 1, {});
-    PipelinedEncoder encoder(&h.service, &workflow, kK, kM, {});
-    auto set = transition_set(objects, size);
-    corec::staging::Breakdown bd;
-    state.ResumeTiming();
-    for (std::size_t i = 0; i < objects; ++i) {
-      ServerId primary =
-          static_cast<ServerId>(i % h.service.num_servers());
-      encoder.enqueue(set[i], primary, holders_of(h.service, primary));
-    }
-    SimTime last = encoder.drain(0, &bd);
-    benchmark::DoNotOptimize(last);
-    moved += encoder.stats().objects;
-    tokens = encoder.stats().token_acquires;
-    rings = encoder.stats().ring_encodes;
-    max_node_bytes = encoder.stats().max_node_bytes_moved;
-    max_node_cpu = encoder.stats().max_node_cpu;
-    sim_ns = last;
-  }
-  state.counters["copied_bytes_per_obj"] =
-      static_cast<double>(
-          corec::payload_metrics().bytes_copied.load()) /
-      static_cast<double>(moved);
-  state.counters["token_acquires_per_drain"] =
-      static_cast<double>(tokens);
-  state.counters["ring_encodes_per_drain"] = static_cast<double>(rings);
-  state.counters["max_node_bytes_per_obj"] =
-      static_cast<double>(max_node_bytes);
-  state.counters["max_node_cpu_us_per_obj"] =
-      static_cast<double>(max_node_cpu) / 1e3;
-  state.counters["sim_drain_ms"] = static_cast<double>(sim_ns) / 1e6;
-  state.counters["sim_GBps"] =
-      static_cast<double>(objects * size) /
-      (static_cast<double>(sim_ns) / 1e9) / 1e9;
-  state.SetBytesProcessed(static_cast<std::int64_t>(moved * size));
-}
-BENCHMARK(BM_TransitionPipelined)->Unit(benchmark::kMillisecond);
 
 /// Zero-copy stripe preparation alone: chunk views plus the fused
 /// parity encode, no placement. The only copies are the padded tail

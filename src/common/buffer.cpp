@@ -98,7 +98,9 @@ bool PayloadBuffer::exclusive() const {
 MutableByteSpan PayloadBuffer::mutable_span() {
   if (rep_ == nullptr || size_ == 0) return {};
   auto& metrics = payload_metrics();
-  const bool shared = rep_.use_count() > 1;
+  // exclusive() acquires: an in-place write must be ordered after the
+  // reads of views dropped on other threads.
+  const bool shared = !exclusive();
   const bool partial = offset_ != 0 || size_ != rep_->len;
   if (shared || partial) {
     auto priv = make_rep(slab::allocate(size_));

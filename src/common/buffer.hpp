@@ -75,8 +75,9 @@ PayloadMetrics& payload_metrics();
 /// claimed tags from the wire never seed it.
 ///
 /// Thread-safety: the refcount and generation are atomic, so distinct
-/// views may be copied/read concurrently (BatchedEncoder workers read
-/// shared views). Mutating a view, or calling crc32c() on the *same*
+/// views may be copied/read concurrently (an RPC response slice is read
+/// and dropped on another thread than the one reusing its read
+/// buffer). Mutating a view, or calling crc32c() on the *same*
 /// view from two threads, requires external synchronization — the
 /// simulator is single-threaded, and ShardedObjectStore holds its
 /// per-shard writer lock across mutations, which satisfies this.

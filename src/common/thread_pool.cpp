@@ -1,8 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 namespace corec {
 
@@ -34,34 +32,6 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  // Oversplit ~4 chunks per worker so uneven per-index cost still
-  // balances; tiny n degenerates to one index per chunk.
-  const std::size_t chunks =
-      std::min(n, std::max<std::size_t>(1, workers_.size() * 4));
-  const std::size_t per_chunk = (n + chunks - 1) / chunks;
-  struct Join {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t remaining;
-  };
-  auto join = std::make_shared<Join>();
-  join->remaining = chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(n, begin + per_chunk);
-    submit([join, begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      std::lock_guard<std::mutex> lock(join->mutex);
-      if (--join->remaining == 0) join->cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(join->mutex);
-  join->cv.wait(lock, [&join] { return join->remaining == 0; });
 }
 
 void ThreadPool::worker_loop() {

@@ -1,6 +1,4 @@
-// Fixed-size worker pool. Backs the batched encoder's stripe
-// preparation, the RPC client's callback-async API, and parallel
-// encode sweeps in benches.
+// Fixed-size worker pool. Backs the RPC client's callback-async API.
 #pragma once
 
 #include <condition_variable>
@@ -28,13 +26,6 @@ class ThreadPool {
 
   /// Blocks until the queue is empty and all workers are idle.
   void wait_idle();
-
-  /// Runs fn(i) for every i in [0, n), fanned out across the pool in
-  /// contiguous chunks; blocks until all indices completed. Unlike
-  /// wait_idle() it only waits for its own work, so concurrent
-  /// parallel_for calls (and unrelated submits) don't serialize.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& fn);
 
   std::size_t size() const { return workers_.size(); }
 

@@ -26,14 +26,6 @@ void CorecScheme::bind(staging::StagingService* service) {
   ResilienceScheme::bind(service);
   workflow_ = std::make_unique<EncodingWorkflow>(
       service, options_.n_level + 1, options_.workflow);
-  if (options_.transitions == TransitionStrategy::kBatched) {
-    batch_encoder_ = std::make_unique<BatchedEncoder>(
-        service, workflow_.get(), options_.k, options_.m, options_.batch);
-  } else if (options_.transitions == TransitionStrategy::kPipelined) {
-    pipelined_encoder_ = std::make_unique<PipelinedEncoder>(
-        service, workflow_.get(), options_.k, options_.m,
-        options_.pipeline);
-  }
   recovery_ = std::make_unique<RecoveryManager>(service, options_.recovery);
 }
 
@@ -51,18 +43,6 @@ bool CorecScheme::fits_floor(std::ptrdiff_t extra_stored,
       static_cast<double>(extra_logical);
   double stored = static_cast<double>(service_->stored_bytes()) +
                   static_cast<double>(extra_stored);
-  // Queued transitions (batched or pipelined) were already retired from
-  // the stores but their stripes have not landed yet; count those
-  // future bytes so the sweep does not over-demote between enqueue and
-  // drain.
-  if (batch_encoder_ != nullptr) {
-    stored +=
-        static_cast<double>(batch_encoder_->pending_encoded_bytes());
-  }
-  if (pipelined_encoder_ != nullptr) {
-    stored +=
-        static_cast<double>(pipelined_encoder_->pending_encoded_bytes());
-  }
   if (stored <= 0.0) return true;
   return logical / stored >= options_.efficiency_floor;
 }
@@ -80,16 +60,12 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   const AccessRecord& self_rec =
       classifier_.record_write(obj.desc.var, obj.desc.box, step);
 
-  // Previous representation (if any) determines the transition cost.
-  Protection prev_protection = Protection::kNone;
-  bool had_previous = previous != nullptr;
+  // Retire the previous version (if any); its logical bytes leave the
+  // efficiency accounting.
   std::size_t prev_logical = 0;
-  if (had_previous) {
+  if (previous != nullptr) {
     const ObjectLocation* prev_loc = service_->directory().find(*previous);
-    if (prev_loc != nullptr) {
-      prev_protection = prev_loc->protection;
-      prev_logical = prev_loc->logical_size;
-    }
+    if (prev_loc != nullptr) prev_logical = prev_loc->logical_size;
     recovery_->forget(*previous);
     retire_object(*service_, *previous);
     pool_.erase(*previous);
@@ -97,8 +73,6 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   std::ptrdiff_t logical_delta =
       static_cast<std::ptrdiff_t>(obj.logical_size) -
       static_cast<std::ptrdiff_t>(prev_logical);
-
-  (void)prev_protection;
 
   // Figure 6 write path: newly written/updated data is hot by
   // definition, so every put is made durable through replication — the
@@ -158,36 +132,6 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   } else {
     ++stats_.writes_replicated;
   }
-  return durable;
-}
-
-SimTime CorecScheme::encode_via_workflow(
-    const DataObject& obj, ServerId primary,
-    const std::vector<ServerId>& holders,
-    const std::vector<ServerId>& candidates, SimTime ready,
-    Breakdown* bd) {
-  const auto& cost = service_->cost();
-  ServerId encoder = workflow_->pick_encoder(candidates, ready);
-
-  // Ship the payload to the encoder if it does not hold it yet (the
-  // helper path for fresh writes; transitions use a replica holder, so
-  // no transfer happens there).
-  SimTime at_encoder = ready;
-  if (std::find(holders.begin(), holders.end(), encoder) ==
-      holders.end()) {
-    SimTime xfer = cost.transfer_time(obj.logical_size);
-    bd->transport += xfer;
-    at_encoder = service_->serve_at(encoder, ready + xfer,
-                                    cost.copy_time(obj.logical_size));
-    bd->copy += cost.copy_time(obj.logical_size);
-  }
-
-  SimTime start = workflow_->acquire(encoder, at_encoder);
-  SimTime encode_done = start;
-  SimTime durable =
-      place_encoded(*service_, obj, primary, options_.k, options_.m,
-                    encoder, start, bd, &encode_done);
-  workflow_->release(encoder, encode_done);
   return durable;
 }
 
@@ -301,19 +245,12 @@ void CorecScheme::demote(const ObjectDescriptor& desc, SimTime now) {
 
   retire_object(*service_, desc);
   pool_.erase(desc);
-  if (batch_encoder_ != nullptr) {
-    // Queue the transition; the sweep drains each group's queue in
-    // multi-stripe batches under a single token hold.
-    batch_encoder_->enqueue(std::move(obj), primary, std::move(holders));
-  } else if (pipelined_encoder_ != nullptr) {
-    // Queue the transition; the sweep runs each stripe's parity
-    // accumulation along the ring of its replica holders.
-    pipelined_encoder_->enqueue(std::move(obj), primary,
-                                std::move(holders));
-  } else {
-    encode_via_workflow(obj, primary, holders, holders, now,
-                        &stats_.background);
-  }
+  ServerId encoder = workflow_->pick_encoder(holders, now);
+  SimTime start = workflow_->acquire(encoder, now);
+  SimTime encode_done = start;
+  place_encoded(*service_, obj, primary, options_.k, options_.m, encoder,
+                start, &stats_.background, &encode_done);
+  workflow_->release(encoder, encode_done);
   ++stats_.demotions;
 }
 
@@ -364,19 +301,6 @@ void CorecScheme::end_of_step(Version step, SimTime now) {
   pending.swap(pending_demotions_);
   for (const auto& desc : pending) demote(desc, now);
 
-  // Batched/pipelined mode: the write-path transitions above only
-  // queued; drain them now (multi-stripe batches per token group, or
-  // one holder ring per stripe).
-  auto drain_batches = [this, now] {
-    if (batch_encoder_ != nullptr && !batch_encoder_->empty()) {
-      batch_encoder_->drain(now, &stats_.background);
-    }
-    if (pipelined_encoder_ != nullptr && !pipelined_encoder_->empty()) {
-      pipelined_encoder_->drain(now, &stats_.background);
-    }
-  };
-  drain_batches();
-
   // Snapshot the pool (replicated entities) and the encoded set.
   struct PoolEntry {
     ObjectDescriptor desc;
@@ -426,7 +350,6 @@ void CorecScheme::end_of_step(Version step, SimTime now) {
     demote(remaining[evict].desc, now);
     ++evict;
   }
-  drain_batches();
 
   // 3. Promote hot encoded entities while the floor allows, swapping
   //    out strictly-colder pool members when it does not (the case-2
@@ -478,10 +401,6 @@ void CorecScheme::end_of_step(Version step, SimTime now) {
     promote(cand.desc, now);
     ++promoted;
   }
-  // Swap-evictions during the promotion phase may have queued more
-  // transitions; everything must land before the step boundary so
-  // directory state and the floor are consistent for callers.
-  drain_batches();
 }
 
 std::unique_ptr<CorecScheme> make_corec(const CorecOptions& options) {

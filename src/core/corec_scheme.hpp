@@ -6,13 +6,10 @@
 //   * replicated "pool"       — the set of currently replicated
 //                               entities, bounded by S;
 //   * EncodingWorkflow        — conflict-avoiding encoder selection and
-//                               per-group token serialization for
-//                               replica->stripe transitions;
-//   * transition strategies   — token-serial (one workflow round-trip
-//                               per object), BatchedEncoder (multi-
-//                               stripe batches per token hold), or
-//                               PipelinedEncoder (RapidRAID-style ring
-//                               across the replica holders);
+//                               per-group token serialization: each
+//                               replica->stripe transition encodes one
+//                               object on its least-loaded holder
+//                               under the group's token;
 //   * RecoveryManager         — lazy (or aggressive) repair.
 #pragma once
 
@@ -22,30 +19,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/batched_encoder.hpp"
 #include "core/classifier.hpp"
 #include "core/encoding_workflow.hpp"
-#include "core/pipelined_encoder.hpp"
 #include "core/recovery.hpp"
 #include "staging/scheme.hpp"
 
 namespace corec::core {
-
-/// How cold demotions (replica→EC transitions) are executed.
-enum class TransitionStrategy {
-  /// One workflow round-trip per object: pick encoder, acquire the
-  /// group token, encode + place, release. Simplest; one token
-  /// acquire per object and all parity computed on one node.
-  kTokenSerial,
-  /// BatchedEncoder: transitions queue and drain in multi-stripe
-  /// batches — one token hold per batch, stripe prep fanned over a
-  /// thread pool, CRC verify pipelined behind encode.
-  kBatched,
-  /// PipelinedEncoder: each stripe's parity is accumulated along a
-  /// ring of the replica holders (partial-parity hops), spreading
-  /// encode CPU and wire bytes across the group.
-  kPipelined,
-};
 
 /// Full CoREC configuration.
 struct CorecOptions {
@@ -62,10 +41,6 @@ struct CorecOptions {
   RecoveryOptions recovery;
   /// Cap on background promotions per end-of-step sweep.
   std::size_t max_promotions_per_step = 64;
-  /// Transition execution strategy (see TransitionStrategy).
-  TransitionStrategy transitions = TransitionStrategy::kTokenSerial;
-  BatchOptions batch;        // kBatched knobs
-  PipelineOptions pipeline;  // kPipelined knobs
 };
 
 /// Counters exposed for the breakdown/ablation benches.
@@ -100,14 +75,6 @@ class CorecScheme final : public staging::ResilienceScheme {
   const AccessClassifier& classifier() const { return classifier_; }
   const EncodingWorkflow& workflow() const { return *workflow_; }
   const CorecOptions& corec_options() const { return options_; }
-  /// Non-null when transitions == kBatched.
-  const BatchedEncoder* batch_encoder() const {
-    return batch_encoder_.get();
-  }
-  /// Non-null when transitions == kPipelined.
-  const PipelinedEncoder* pipelined_encoder() const {
-    return pipelined_encoder_.get();
-  }
 
   /// Current storage efficiency as the scheme tracks it.
   double efficiency() const;
@@ -118,17 +85,9 @@ class CorecScheme final : public staging::ResilienceScheme {
   bool fits_floor(std::ptrdiff_t extra_stored,
                   std::ptrdiff_t extra_logical) const;
 
-  /// Encode `obj` through the token workflow. `holders` are the servers
-  /// that already hold the payload; `candidates` are the servers allowed
-  /// to run the encode (the payload is shipped to the encoder when it is
-  /// not a holder — the fresh-write helper path).
-  SimTime encode_via_workflow(const staging::DataObject& obj,
-                              ServerId primary,
-                              const std::vector<ServerId>& holders,
-                              const std::vector<ServerId>& candidates,
-                              SimTime ready, staging::Breakdown* bd);
-
-  /// Background demotion of a replicated entity to a stripe.
+  /// Background demotion of a replicated entity to a stripe: the
+  /// token workflow picks the least-loaded live holder as encoder and
+  /// serializes the encode under its group's token.
   void demote(const staging::ObjectDescriptor& desc, SimTime now);
   /// Background promotion of an encoded entity into the pool.
   void promote(const staging::ObjectDescriptor& desc, SimTime now);
@@ -141,8 +100,6 @@ class CorecScheme final : public staging::ResilienceScheme {
   CorecOptions options_;
   AccessClassifier classifier_;
   std::unique_ptr<EncodingWorkflow> workflow_;
-  std::unique_ptr<BatchedEncoder> batch_encoder_;
-  std::unique_ptr<PipelinedEncoder> pipelined_encoder_;
   std::unique_ptr<RecoveryManager> recovery_;
   CorecStats stats_;
   std::size_t logical_total_ = 0;

@@ -2,15 +2,11 @@
 // III-B). Each replication group shares one *encoding token*: a
 // replica->EC transition runs only under the token, so exactly one
 // stripe instance is produced per object and concurrent transitions
-// within a group serialize. The token holder need not be a single
-// central encoder — the token-serial path encodes on one least-loaded
-// holder, the batched encoder holds the token once per multi-stripe
-// batch, and the ring-pipelined encoder keeps it held while parity
-// accumulates across every holder (see corec_scheme.hpp's
-// TransitionStrategy). The workload-measurement component picks the
-// group member with the smallest service backlog as the encoder (the
-// "helper server" path), keeping encode CPU time away from servers
-// busy with client traffic.
+// within a group serialize. Each transition encodes one object: the
+// workload-measurement component picks the replica holder with the
+// smallest service backlog as the encoder (the "helper server" path),
+// keeping encode CPU time away from servers busy with client traffic,
+// and that holder encodes under its group's token.
 #pragma once
 
 #include <cstddef>
@@ -61,10 +57,6 @@ class EncodingWorkflow {
   std::uint64_t offloads() const { return offloads_; }
   /// Total virtual time spent waiting on tokens.
   SimTime token_wait() const { return token_wait_; }
-
-  /// Token group a server belongs to. The batched encoder buckets its
-  /// queue by this so one acquire/release covers a whole batch.
-  std::size_t token_group(ServerId s) const { return group_of(s); }
 
  private:
   std::size_t group_of(ServerId s) const;

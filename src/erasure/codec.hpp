@@ -53,25 +53,6 @@ class Codec {
   virtual Status encode_view(const ByteSpan* data, std::size_t nd,
                              const MutableByteSpan* parity,
                              std::size_t np) const = 0;
-
-  /// Partial-parity accumulation: folds the contribution of the data
-  /// blocks with stripe indices [first, first + count) into all m
-  /// parity buffers. `data` holds exactly those `count` blocks
-  /// (data[0] is stripe index `first`). With accumulate == false the
-  /// parity buffers are overwritten with just this range's
-  /// contribution — no prior zero-fill needed; with accumulate == true
-  /// it is XOR-added onto the partial parity already present. Field
-  /// addition is XOR, so splitting the k blocks across successive
-  /// calls composes exactly: covering 0..k-1 in any contiguous runs
-  /// yields parity byte-identical to one encode_view over all k
-  /// blocks. This is the per-hop primitive of the pipelined ring
-  /// encoder: each replica holder folds in its chunk run and forwards
-  /// the accumulated parity to the next hop.
-  virtual Status encode_partial_view(const ByteSpan* data,
-                                     std::size_t first, std::size_t count,
-                                     const MutableByteSpan* parity,
-                                     std::size_t np,
-                                     bool accumulate) const = 0;
   virtual Status decode_view(const MutableByteSpan* blocks,
                              std::size_t nb, const std::size_t* erased,
                              std::size_t ne) const = 0;

@@ -48,41 +48,6 @@ class ReedSolomonCodec final : public Codec {
     return Status::Ok();
   }
 
-  Status encode_partial_view(const ByteSpan* data, std::size_t first,
-                             std::size_t count,
-                             const MutableByteSpan* parity, std::size_t np,
-                             bool accumulate) const override {
-    if (count == 0 || first >= k_ || count > k_ - first || np != m_) {
-      return Status::InvalidArgument("partial encode: block range");
-    }
-    const std::size_t size = parity[0].size();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (data[i].size() != size) {
-        return Status::InvalidArgument("partial encode: data size mismatch");
-      }
-    }
-    for (std::size_t p = 1; p < np; ++p) {
-      if (parity[p].size() != size) {
-        return Status::InvalidArgument(
-            "partial encode: parity size mismatch");
-      }
-    }
-    // Each parity row restricted to the coefficient run [first,
-    // first+count) — the same fused kernels as encode_view, just over a
-    // sub-range, so a full ring of hops produces bit-identical parity.
-    std::array<const std::uint8_t*, gf::kGroupOrder> srcs;
-    for (std::size_t d = 0; d < count; ++d) srcs[d] = data[d].data();
-    for (std::size_t p = 0; p < m_; ++p) {
-      const std::uint8_t* row = generator_.row(k_ + p) + first;
-      if (accumulate) {
-        gf::region_mul_add_multi(row, srcs.data(), count, parity[p]);
-      } else {
-        gf::region_mul_multi(row, srcs.data(), count, parity[p]);
-      }
-    }
-    return Status::Ok();
-  }
-
   Status decode_view(const MutableByteSpan* blocks, std::size_t nb,
                      const std::size_t* erased,
                      std::size_t ne) const override {

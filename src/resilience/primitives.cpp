@@ -164,6 +164,13 @@ StripePayload make_stripe_payload(const erasure::Codec& codec,
   return stripe;
 }
 
+namespace {
+
+/// Stripe layout for `box`'s coding group: n distinct servers with the
+/// primary in slot 0. Under SFC-ring placement the group is the ring
+/// window at the primary, extended along the failure-domain ring when
+/// the trailing group is undersized; under pool-map placement the
+/// remaining slots follow the object's HRW ranking.
 std::vector<ServerId> stripe_layout(StagingService& service,
                                     const geom::BoundingBox& box,
                                     ServerId primary, std::size_t n) {
@@ -187,6 +194,10 @@ std::vector<ServerId> stripe_layout(StagingService& service,
   return stripe;
 }
 
+/// Stores shard `i` of `obj`'s stripe on `target`, applying the
+/// staging.shard.{crash_target,torn_write,bitflip} failpoints, and
+/// records the CRC of what should have landed in (*crcs)[i]. `sp`
+/// carries the prepared stripe (ignored for phantoms).
 void store_stripe_shard(StagingService& service, const DataObject& obj,
                         const StripePayload* sp, std::size_t i,
                         std::size_t k, std::size_t chunk_size,
@@ -232,31 +243,12 @@ void store_stripe_shard(StagingService& service, const DataObject& obj,
   }
 }
 
-SimTime register_encoded(StagingService& service, const DataObject& obj,
-                         ServerId primary, std::vector<ServerId> stripe,
-                         std::size_t k, std::size_t m,
-                         std::size_t chunk_size,
-                         std::vector<std::uint32_t> shard_crcs,
-                         SimTime durable, Breakdown* bd) {
-  ObjectLocation loc;
-  loc.primary = primary;
-  loc.protection = Protection::kEncoded;
-  loc.stripe_servers = std::move(stripe);
-  loc.k = static_cast<std::uint32_t>(k);
-  loc.m = static_cast<std::uint32_t>(m);
-  loc.chunk_size = chunk_size;
-  loc.logical_size = obj.logical_size;
-  loc.object_checksum = obj.phantom ? 0 : obj.checksum;
-  loc.shard_checksums = std::move(shard_crcs);
-  SimTime meta_ack = service.directory().upsert(obj.desc, loc);
-  bd->metadata += service.cost().metadata_op;
-  return std::max(durable + service.cost().metadata_op, meta_ack);
-}
+}  // namespace
 
 SimTime place_encoded(StagingService& service, const DataObject& obj,
                       ServerId primary, std::size_t k, std::size_t m,
                       ServerId encoder, SimTime start, Breakdown* bd,
-                      SimTime* encode_done, const StripePayload* pre) {
+                      SimTime* encode_done) {
   const auto& cost = service.cost();
   const std::size_t n = k + m;
   const std::size_t chunk_size =
@@ -273,18 +265,15 @@ SimTime place_encoded(StagingService& service, const DataObject& obj,
   if (encode_done != nullptr) *encode_done = t_enc;
 
   // Build the stripe payload (real objects): chunk views over the
-  // source buffer plus freshly encoded parity. Callers that prepared
-  // the stripe off-thread (BatchedEncoder) pass it in via `pre`.
-  StripePayload local;
-  const StripePayload* sp = pre;
-  if (!obj.phantom && sp == nullptr) {
-    local = make_stripe_payload(
+  // source buffer plus freshly encoded parity.
+  StripePayload sp;
+  if (!obj.phantom) {
+    sp = make_stripe_payload(
         service.codec(static_cast<std::uint32_t>(k),
                       static_cast<std::uint32_t>(m)),
         obj, k, m);
-    sp = &local;
+    assert(sp.chunk_size == chunk_size);
   }
-  assert(sp == nullptr || sp->chunk_size == chunk_size);
 
   // Distribute the shards. The encoder keeps its own shard locally;
   // the others are serialized out over its link, pipelined.
@@ -293,7 +282,7 @@ SimTime place_encoded(StagingService& service, const DataObject& obj,
   std::size_t sent = 0;
   for (std::size_t i = 0; i < n; ++i) {
     ServerId target = stripe[i];
-    store_stripe_shard(service, obj, sp, i, k, chunk_size, target,
+    store_stripe_shard(service, obj, &sp, i, k, chunk_size, target,
                        &shard_crcs);
 
     SimTime arrival = t_enc;
@@ -312,8 +301,19 @@ SimTime place_encoded(StagingService& service, const DataObject& obj,
                        service.serve_at(target, arrival, service_time));
   }
 
-  return register_encoded(service, obj, primary, std::move(stripe), k, m,
-                          chunk_size, std::move(shard_crcs), durable, bd);
+  ObjectLocation loc;
+  loc.primary = primary;
+  loc.protection = Protection::kEncoded;
+  loc.stripe_servers = std::move(stripe);
+  loc.k = static_cast<std::uint32_t>(k);
+  loc.m = static_cast<std::uint32_t>(m);
+  loc.chunk_size = chunk_size;
+  loc.logical_size = obj.logical_size;
+  loc.object_checksum = obj.phantom ? 0 : obj.checksum;
+  loc.shard_checksums = std::move(shard_crcs);
+  SimTime meta_ack = service.directory().upsert(obj.desc, loc);
+  bd->metadata += cost.metadata_op;
+  return std::max(durable + cost.metadata_op, meta_ack);
 }
 
 SimTime charge_stripe_peer_reads(StagingService& service,

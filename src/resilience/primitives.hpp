@@ -28,10 +28,7 @@ struct StripePayload {
 /// Builds the stripe for a real `obj`: slices k chunk views from
 /// obj.data with zero concatenation, encodes m parity chunks through
 /// `codec.encode_view`, and stamps every shard's CRC32C (cached in its
-/// buffer view, so downstream placement never recomputes). Safe to run
-/// off the simulation thread — it touches only `obj` and `codec` — which
-/// is how the batched encoder overlaps stripe preparation across a
-/// thread pool.
+/// buffer view, so downstream placement never recomputes).
 StripePayload make_stripe_payload(const erasure::Codec& codec,
                                   const staging::DataObject& obj,
                                   std::size_t k, std::size_t m);
@@ -46,55 +43,16 @@ SimTime place_replicated(staging::StagingService& service,
                          std::size_t n_replicas, SimTime arrived,
                          staging::Breakdown* bd);
 
-/// Stripe layout for `box`'s coding group: n distinct servers with the
-/// primary in slot 0. Under SFC-ring placement the group is the ring
-/// window at the primary, extended along the failure-domain ring when
-/// the trailing group is undersized; under pool-map placement the
-/// remaining slots follow the object's HRW ranking. Every encoding
-/// strategy (token-serial, batched, pipelined) places shards with this
-/// layout, so directory outcomes are identical regardless of which
-/// path ran.
-std::vector<ServerId> stripe_layout(staging::StagingService& service,
-                                    const geom::BoundingBox& box,
-                                    ServerId primary, std::size_t n);
-
-/// Stores shard `i` of `obj`'s stripe on `target`, applying the
-/// staging.shard.{crash_target,torn_write,bitflip} failpoints exactly
-/// as the centralized placement does, and recording the CRC of what
-/// should have landed in (*crcs)[i]. `sp` carries the prepared stripe
-/// (ignored for phantoms). Shared by place_encoded and the pipelined
-/// ring encoder so fault-injection behaviour cannot diverge.
-void store_stripe_shard(staging::StagingService& service,
-                        const staging::DataObject& obj,
-                        const StripePayload* sp, std::size_t i,
-                        std::size_t k, std::size_t chunk_size,
-                        ServerId target, std::vector<std::uint32_t>* crcs);
-
-/// Registers the encoded location of `obj` (stripe servers + shard
-/// CRCs) in the directory and returns the durable time including the
-/// metadata round. The final step of every encode strategy.
-SimTime register_encoded(staging::StagingService& service,
-                         const staging::DataObject& obj, ServerId primary,
-                         std::vector<ServerId> stripe, std::size_t k,
-                         std::size_t m, std::size_t chunk_size,
-                         std::vector<std::uint32_t> shard_crcs,
-                         SimTime durable, staging::Breakdown* bd);
-
 /// Splits `obj` into k chunks, computes m parity chunks, and stores the
 /// n = k+m shards across `primary`'s coding group (primary in slot 0,
 /// parity in the trailing slots). `encoder` is the server charged with
 /// the encode CPU time (the conflict-avoiding workflow may pick a
 /// helper); it must already hold the payload. Updates the directory.
-/// `pre` may carry an already-built StripePayload for `obj` (from
-/// make_stripe_payload) to skip the inline chunk/encode work — the
-/// batched encoder prepares stripes on a thread pool and hands them in
-/// here.
 SimTime place_encoded(staging::StagingService& service,
                       const staging::DataObject& obj, ServerId primary,
                       std::size_t k, std::size_t m, ServerId encoder,
                       SimTime start, staging::Breakdown* bd,
-                      SimTime* encode_done = nullptr,
-                      const StripePayload* pre = nullptr);
+                      SimTime* encode_done = nullptr);
 
 /// Removes every stored representation of `desc` (primary, replicas or
 /// chunks, per its directory record) and unregisters it.

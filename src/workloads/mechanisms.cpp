@@ -42,9 +42,6 @@ std::unique_ptr<staging::ResilienceScheme> make_scheme(
       opts.classifier = p.classifier;
       opts.workflow = p.workflow;
       opts.recovery = p.recovery;
-      opts.transitions = p.transitions;
-      opts.batch = p.batch;
-      opts.pipeline = p.pipeline;
       if (mechanism == Mechanism::kCorecAggressive) {
         opts.recovery.mode = core::RecoveryOptions::Mode::kAggressive;
       }

@@ -34,13 +34,6 @@ struct MechanismParams {
   core::ClassifierOptions classifier;
   core::WorkflowOptions workflow;
   core::RecoveryOptions recovery;
-  /// CoREC variants only: how cold transitions execute — one token
-  /// round-trip per object, multi-stripe batches, or the ring pipeline
-  /// across the replica holders.
-  core::TransitionStrategy transitions =
-      core::TransitionStrategy::kTokenSerial;
-  core::BatchOptions batch;
-  core::PipelineOptions pipeline;
 };
 
 /// Instantiates the scheme for a mechanism.

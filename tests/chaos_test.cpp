@@ -66,23 +66,6 @@ std::vector<std::uint64_t> chaos_seeds() {
   return {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
 }
 
-/// CoREC parameters for the storms below. COREC_CHAOS_BATCH=1 routes
-/// cold transitions through the batched encoder and
-/// COREC_CHAOS_PIPELINE=1 through the ring-pipelined encoder, so the
-/// CI chaos legs exercise all three drain paths with the same seeds.
-MechanismParams corec_chaos_params() {
-  MechanismParams params;
-  if (const char* env = std::getenv("COREC_CHAOS_BATCH");
-      env != nullptr && *env != '\0' && *env != '0') {
-    params.transitions = core::TransitionStrategy::kBatched;
-  }
-  if (const char* env = std::getenv("COREC_CHAOS_PIPELINE");
-      env != nullptr && *env != '\0' && *env != '0') {
-    params.transitions = core::TransitionStrategy::kPipelined;
-  }
-  return params;
-}
-
 /// For every encoded entity carrying real payloads, decode the stripe
 /// from its surviving shards and compare the reconstructed bytes
 /// against the driver's per-variable mirror. The shard-*size* audit
@@ -197,7 +180,7 @@ class ChaosSeedTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosSeedTest, CorecSurvivesSpacedFailures) {
   std::uint64_t seed = GetParam();
-  MechanismParams params = corec_chaos_params();
+  MechanismParams params;
   params.recovery.mtbf_seconds = 0.08;  // lazy deadline 20 ms
 
   sim::Simulation sim;
@@ -295,7 +278,7 @@ TEST_P(ChaosSeedTest, ReplicatedMetadataSurvivesMixedFailures) {
   // that alternates whole-node kills (hitting metadata replica hosts on
   // purpose) with pure metadata-process kills of the current primary.
   std::uint64_t seed = GetParam();
-  MechanismParams params = corec_chaos_params();
+  MechanismParams params;
   params.recovery.mtbf_seconds = 0.08;
 
   sim::Simulation sim;
@@ -356,7 +339,7 @@ TEST_P(ChaosSeedTest, ReplicatedMetadataSurvivesMixedFailures) {
 TEST(Chaos, MtbfDrivenStormNeverCorrupts) {
   // Full random storm through the FailureInjector, phantom payloads
   // for speed plus a real-payload spot check.
-  MechanismParams params = corec_chaos_params();
+  MechanismParams params;
   params.recovery.mtbf_seconds = 0.1;
   sim::Simulation sim;
   staging::StagingService service(chaos_service_options(), &sim,
@@ -439,7 +422,7 @@ TEST_P(ChaosSeedTest, MembershipTransitionsRaceTheStorm) {
   // placed during a kill window, then the audit asserts every object is
   // readable and placed per the final map version.
   std::uint64_t seed = GetParam();
-  MechanismParams params = corec_chaos_params();
+  MechanismParams params;
   params.recovery.mtbf_seconds = 0.08;
 
   auto opts = chaos_service_options();

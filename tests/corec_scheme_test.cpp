@@ -235,6 +235,41 @@ TEST(CorecScheme, SurvivesFailureWhileEncoded) {
   EXPECT_EQ(out, payload);
 }
 
+TEST(CorecScheme, DemotionSkipsCorruptReplicaAndEncodesHealthyCopy) {
+  // A bit flip on the primary's copy of a cold object: the demotion's
+  // CRC probe quarantines that copy and encodes from the healthy
+  // replica, so the stripe holds the original bytes.
+  CorecOptions o = loose_corec();
+  o.classifier.cold_after = 1;
+  o.classifier.enable_spatial = false;
+  Fixture f(o);
+  auto box = geom::BoundingBox::cube(0, 0, 0, 7, 7, 7);
+  Bytes payload(static_cast<std::size_t>(box.volume()));
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 29 + 3);
+  }
+  ASSERT_TRUE(f.service.put(1, 0, box, payload).status.ok());
+  const auto* e = f.service.directory().find_entity(1, box);
+  ASSERT_NE(e, nullptr);
+  const ObjectDescriptor desc = *e;
+  ObjectLocation loc = *f.service.directory().find(desc);
+  ASSERT_EQ(loc.protection, Protection::kReplicated);
+  ASSERT_EQ(loc.replicas.size(), 1u);
+  ASSERT_TRUE(f.service.corrupt_at(loc.primary, desc, 100));
+
+  for (Version s = 0; s < 4; ++s) f.service.end_time_step(s);
+  ASSERT_EQ(f.protection_of(box), Protection::kEncoded);
+  EXPECT_EQ(f.scheme_ptr->stats().demotions, 1u);
+  EXPECT_EQ(f.service.integrity().mismatches, 1u);
+  EXPECT_EQ(f.service.integrity().quarantined, 1u);
+
+  Bytes out;
+  ASSERT_TRUE(f.service.get(1, 4, box, &out).status.ok());
+  EXPECT_EQ(out, payload);
+  EXPECT_EQ(f.service.integrity().mismatches, 1u)
+      << "reading the stripe finds no corrupt shard";
+}
+
 TEST(CorecScheme, TokenSerializesGroupEncodes) {
   // Four servers, two token groups, and large objects whose background
   // encodes (floor = E_e forbids any replicated steady state) overlap:

@@ -143,86 +143,6 @@ TEST_P(GfKernelTest, MulAddMultiMatchesScalar) {
   }
 }
 
-/// The ring pipeline's correctness contract: folding the sources in
-/// two split calls (overwrite for the first run, accumulate for the
-/// rest) must be byte-identical to one fused call over all sources —
-/// GF(2^8) addition is XOR, so partial parity composes exactly. Checked
-/// across every kernel, misaligned/odd sizes, every split point, and
-/// coefficient vectors that include zeros.
-TEST_P(GfKernelTest, SplitSourceAccumulationMatchesFused) {
-  KernelGuard guard(GetParam());
-  Rng rng(11);
-  const std::size_t nsrc = 7;
-  for (std::size_t n : test_sizes()) {
-    for (std::size_t off : {0u, 1u, 13u}) {
-      std::vector<Bytes> bufs;
-      std::vector<const std::uint8_t*> srcs;
-      std::vector<std::uint8_t> coeffs;
-      for (std::size_t j = 0; j < nsrc; ++j) {
-        bufs.push_back(random_buf(rng, n + off));
-        // Include zero coefficients: the wrappers compact them, and a
-        // hop whose run is all-zero must still compose correctly.
-        coeffs.push_back(static_cast<std::uint8_t>(
-            j == 2 ? 0 : rng.next_u32() % 256));
-      }
-      for (const auto& b : bufs) srcs.push_back(b.data() + off);
-      MutableByteSpan dst_view;
-
-      // One fused overwrite call over all nsrc sources.
-      Bytes fused = random_buf(rng, n + off);
-      dst_view = MutableByteSpan(fused.data() + off, n);
-      region_mul_multi(coeffs.data(), srcs.data(), nsrc, dst_view);
-
-      for (std::size_t split = 1; split < nsrc; ++split) {
-        Bytes halves = random_buf(rng, n + off);
-        dst_view = MutableByteSpan(halves.data() + off, n);
-        // First half overwrites (no zero-fill needed), second half
-        // accumulates — exactly the hop sequence of the ring encoder.
-        region_mul_multi(coeffs.data(), srcs.data(), split, dst_view);
-        region_mul_add_multi(coeffs.data() + split, srcs.data() + split,
-                             nsrc - split, dst_view);
-        ASSERT_TRUE(std::equal(fused.begin() + static_cast<long>(off),
-                               fused.end(),
-                               halves.begin() + static_cast<long>(off)))
-            << GetParam()->name << " n=" << n << " off=" << off
-            << " split=" << split;
-      }
-
-      // Same property through the codec's partial-view interface, with
-      // every parity row checked (m = 2).
-      if (n == 0) continue;
-      const std::size_t k = nsrc, m = 2;
-      auto codec = std::move(erasure::make_reed_solomon(k, m)).value();
-      std::vector<ByteSpan> data;
-      for (std::size_t j = 0; j < k; ++j) {
-        data.emplace_back(bufs[j].data() + off, n);
-      }
-      std::vector<Bytes> full_parity(m, Bytes(n));
-      std::vector<MutableByteSpan> full_spans;
-      for (auto& b : full_parity) full_spans.emplace_back(b);
-      ASSERT_TRUE(
-          codec->encode_view(data.data(), k, full_spans.data(), m).ok());
-      for (std::size_t split = 1; split < k; ++split) {
-        std::vector<Bytes> part_parity(m, random_buf(rng, n));
-        std::vector<MutableByteSpan> part_spans;
-        for (auto& b : part_parity) part_spans.emplace_back(b);
-        ASSERT_TRUE(codec
-                        ->encode_partial_view(data.data(), 0, split,
-                                              part_spans.data(), m, false)
-                        .ok());
-        ASSERT_TRUE(codec
-                        ->encode_partial_view(data.data() + split, split,
-                                              k - split, part_spans.data(),
-                                              m, true)
-                        .ok());
-        ASSERT_EQ(part_parity, full_parity)
-            << GetParam()->name << " n=" << n << " off=" << off
-            << " split=" << split;
-      }
-    }
-  }
-}
-
 /// region_mul_add_multi / region_mul_multi (the public wrappers) must
 /// drop zero coefficients and agree with per-source region_mul_add.
 TEST_P(GfKernelTest, RegionMultiWrappersHandleZeroCoefficients) {

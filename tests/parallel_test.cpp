@@ -10,7 +10,6 @@
 
 #include "common/rng.hpp"
 #include "common/sharding.hpp"
-#include "common/thread_pool.hpp"
 #include "staging/sharded_store.hpp"
 #include "staging/thread_fabric.hpp"
 
@@ -443,30 +442,6 @@ TEST(ThreadFabric, JoinAndDrainKeepEveryObjectRoutable) {
   EXPECT_EQ(fabric.store(1).count(), 0u);
   EXPECT_EQ(misses(), 0) << "after drain";
   EXPECT_EQ(fabric.total_objects(), static_cast<std::size_t>(kObjects));
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndicesConcurrently) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::uint8_t> hit(kN, 0);
-  pool.parallel_for(kN, [&](std::size_t i) { hit[i] = 1; });
-  std::size_t covered = 0;
-  for (auto h : hit) covered += h;
-  EXPECT_EQ(covered, kN);
-
-  // Two concurrent parallel_for calls on one pool don't deadlock or
-  // cross wires.
-  std::atomic<std::uint64_t> sum{0};
-  std::thread other([&] {
-    pool.parallel_for(kN, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-  });
-  pool.parallel_for(kN, [&](std::size_t i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  other.join();
-  EXPECT_EQ(sum.load(), 2ull * (kN * (kN - 1) / 2));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // paths built on top of them.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -274,6 +275,38 @@ TEST(PayloadBuffer, ConcurrentReadersOfDistinctViews) {
   for (auto& th : threads) th.join();
   EXPECT_NE(sum.load(), 0u);
   EXPECT_EQ(buf.use_count(), 1);
+}
+
+TEST(PayloadBuffer, InPlaceWriteAfterViewDroppedOnAnotherThread) {
+  // One thread reads a view and drops it; another then writes the
+  // remaining sole view. mutable_span() decides to write in place with
+  // an acquiring check, so the write is ordered after the other
+  // thread's reads. Under tsan, deciding by a bare use_count() load
+  // reports a race here.
+  payload_metrics().reset();
+  const Bytes original = pattern_bytes(4096, 3);
+  auto buf = PayloadBuffer::wrap(Bytes(original));
+  const std::uint8_t* before = buf.data();
+  std::atomic<std::uint64_t> seen{0};
+  std::thread reader([view = buf, &seen]() mutable {
+    std::uint64_t local = 0;
+    for (std::size_t i = 0; i < view.size(); ++i) local += view[i];
+    seen.store(local, std::memory_order_relaxed);
+    view = PayloadBuffer();
+  });
+  // Only a relaxed count load waits for the drop, so nothing else
+  // orders the reader's accesses before the write below.
+  while (buf.use_count() > 1) std::this_thread::yield();
+  MutableByteSpan w = buf.mutable_span();
+  std::memset(w.data(), 0, w.size());
+  reader.join();
+
+  EXPECT_EQ(payload_metrics().cow_detaches.load(), 0u);
+  EXPECT_EQ(buf.data(), before) << "sole full-range owner writes in place";
+  std::uint64_t expect = 0;
+  for (std::uint8_t b : original) expect += b;
+  EXPECT_EQ(seen.load(), expect) << "the reader saw the bytes before the write";
+  EXPECT_EQ(buf, Bytes(4096, 0));
 }
 
 }  // namespace

@@ -3,13 +3,10 @@
 # JSON format and writes one machine-readable file (default
 # BENCH_staging.json). Besides wall-time throughput, the per-benchmark
 # counters record allocations/object, bytes copied/object, CRC
-# recompute vs cache-hit rates, and — for the three replica→EC
-# transition strategies (BM_TransitionPerObject / BM_TransitionBatched
-# / BM_TransitionPipelined) — sim_drain_ms/sim_GBps encode throughput
-# plus max_node_bytes_per_obj and max_node_cpu_us_per_obj, the per-node
-# traffic/CPU hot-spot fields the ring pipeline exists to shrink. So
-# payload copy-count and traffic-placement regressions are visible PR
-# over PR even when wall time stays flat.
+# recompute vs cache-hit rates, and — for the token-serial replica→EC
+# transition (BM_TransitionPerObject) — sim_drain_ms/sim_GBps encode
+# throughput. So payload copy-count regressions are visible PR over PR
+# even when wall time stays flat.
 #
 # Usage: bench_staging_json.sh <micro_staging-binary> [out.json]
 set -eu

@@ -27,7 +27,6 @@
 #include "common/checksum.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
-#include "erasure/codec.hpp"
 #include "rpc/client.hpp"
 #include "rpc/server.hpp"
 #include "staging/thread_fabric.hpp"
@@ -63,8 +62,6 @@ struct CliOptions {
   bool csv = false;
   bool verify = false;
   bool calibrate = false;
-  bool batch_encode = false;
-  bool pipeline_encode = false;
   // Replicated metadata plane: follower count K (0 = plain local
   // directory), plus optional primary-kill steps.
   std::size_t meta_followers = 0;
@@ -129,12 +126,6 @@ void usage() {
       "                      (also read from $COREC_FAILPOINTS)\n"
       "  --scrub S           background integrity scrubber paced for an\n"
       "                      MTBF of S seconds (0 = off, default)\n"
-      "  --batch-encode      drain CoREC cold transitions through the\n"
-      "                      batched pipelined encoder (corec variants)\n"
-      "  --pipeline-encode   drain CoREC cold transitions through the\n"
-      "                      ring-pipelined encoder: each stripe's parity\n"
-      "                      accumulates along its replica holders\n"
-      "                      (corec variants)\n"
       "  --threads N         skip the simulator; drive the real-thread\n"
       "                      ThreadFabric (sharded stores + entity-\n"
       "                      sharded directory) from N client threads\n"
@@ -227,10 +218,6 @@ bool parse_args(int argc, char** argv, CliOptions* cli) {
       cli->failpoints = next();
     } else if (a == "--scrub") {
       cli->scrub_mtbf = flag_double(a, next(), 0.0, 1e9);
-    } else if (a == "--batch-encode") {
-      cli->batch_encode = true;
-    } else if (a == "--pipeline-encode") {
-      cli->pipeline_encode = true;
     } else if (a == "--meta") {
       cli->meta_followers = flag_uint<std::size_t>(a, next());
     } else if (a == "--meta-kill") {
@@ -368,109 +355,6 @@ int run_fabric_exercise(const CliOptions& cli) {
   const std::uint64_t sync_ops =
       static_cast<std::uint64_t>(threads) * kOpsPerThread;
 
-  // Ring-encode leg: real threads act as the hops of the pipelined
-  // replica→EC ring. Hop j spins until its predecessor's CRC-stamped
-  // partial-parity frame lands in the fabric, folds its chunk run with
-  // the fused partial kernels, and publishes the accumulated frame for
-  // hop j+1. The final frame must be byte-identical to a one-shot
-  // centralized encode of the same stripe.
-  std::atomic<std::uint64_t> ring_failures{0};
-  std::size_t ring_hops = 0;
-  {
-    constexpr std::size_t kRingK = 8;
-    constexpr std::size_t kRingM = 2;
-    constexpr std::size_t kRingChunk = 4096;
-    auto codec_or = erasure::make_reed_solomon(kRingK, kRingM);
-    const erasure::Codec& codec = *codec_or.value();
-
-    Bytes source(kRingK * kRingChunk);
-    for (std::size_t i = 0; i < source.size(); ++i) {
-      source[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
-    }
-    PayloadBuffer src = PayloadBuffer::wrap(std::move(source));
-    std::vector<ByteSpan> data(kRingK);
-    for (std::size_t i = 0; i < kRingK; ++i) {
-      data[i] = src.subspan(i * kRingChunk, kRingChunk);
-    }
-
-    ring_hops = std::min<std::size_t>(std::max<std::size_t>(threads, 1),
-                                      kRingK);
-    const std::size_t hops = ring_hops;
-    const auto frame_var = static_cast<VarId>(2000);
-    auto frame_desc = [&](std::size_t hop) {
-      return ObjectDescriptor{frame_var, static_cast<Version>(hop + 1),
-                              geom::BoundingBox::line(0, 15),
-                              staging::kWholeObject};
-    };
-    std::vector<std::thread> ring;
-    ring.reserve(hops);
-    for (std::size_t j = 0; j < hops; ++j) {
-      ring.emplace_back([&, j] {
-        const std::size_t base = kRingK / hops;
-        const std::size_t extra = kRingK % hops;
-        const std::size_t first = j * base + std::min(j, extra);
-        const std::size_t count = base + (j < extra ? 1 : 0);
-        Bytes parity(kRingM * kRingChunk, 0);
-        if (j > 0) {
-          for (;;) {  // receive the predecessor's frame
-            auto got = fabric.get(frame_desc(j - 1));
-            if (got.ok()) {
-              const DataObject& frame = got.value().object;
-              // Frame CRC check — the detection point the corrupt-
-              // partial failpoint exercises in the simulator.
-              if (frame.data.size() != parity.size() ||
-                  frame.data.crc32c() != frame.checksum) {
-                ring_failures.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                std::memcpy(parity.data(), frame.data.data(),
-                            parity.size());
-              }
-              break;
-            }
-            std::this_thread::yield();
-          }
-        }
-        std::vector<MutableByteSpan> pspans(kRingM);
-        for (std::size_t p = 0; p < kRingM; ++p) {
-          pspans[p] = MutableByteSpan(parity.data() + p * kRingChunk,
-                                      kRingChunk);
-        }
-        Status st = codec.encode_partial_view(&data[first], first, count,
-                                              pspans.data(), kRingM,
-                                              /*accumulate=*/j > 0);
-        if (!st.ok()) {
-          ring_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-        st = fabric.put(
-            DataObject::real(frame_desc(j),
-                             PayloadBuffer::wrap(std::move(parity))),
-            StoredKind::kPrimary);
-        if (!st.ok()) {
-          ring_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : ring) t.join();
-
-    Bytes expect(kRingM * kRingChunk, 0);
-    {
-      std::vector<MutableByteSpan> pspans(kRingM);
-      for (std::size_t p = 0; p < kRingM; ++p) {
-        pspans[p] = MutableByteSpan(expect.data() + p * kRingChunk,
-                                    kRingChunk);
-      }
-      Status st = codec.encode_view(data.data(), kRingK, pspans.data(),
-                                    kRingM);
-      if (!st.ok()) {
-        ring_failures.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    auto fin = fabric.get(frame_desc(hops - 1));
-    if (!fin.ok() || !(fin.value().object.data == expect)) {
-      ring_failures.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   const auto stats = fabric.stats();
   const auto shards = fabric.shard_metrics();
   const auto& pm = payload_metrics();
@@ -503,16 +387,10 @@ int run_fabric_exercise(const CliOptions& cli) {
               static_cast<unsigned long long>(pm.bytes_copied.load()),
               static_cast<unsigned long long>(pm.cow_detaches.load()),
               static_cast<unsigned long long>(pm.crc_computed.load()));
-  std::printf("ring encode     : %zu hop(s) over the fabric, parity %s\n",
-              ring_hops,
-              ring_failures.load() == 0 ? "byte-identical to one-shot"
-                                        : "MISMATCH");
-  const std::uint64_t bad = mismatches.load() + ring_failures.load();
-  std::printf("verification    : %s (%llu mismatches, %llu ring "
-              "failures)\n",
+  const std::uint64_t bad = mismatches.load();
+  std::printf("verification    : %s (%llu mismatches)\n",
               bad == 0 ? "all reads byte-exact" : "MISMATCH",
-              static_cast<unsigned long long>(mismatches.load()),
-              static_cast<unsigned long long>(ring_failures.load()));
+              static_cast<unsigned long long>(bad));
   return bad == 0 ? 0 : 1;
 }
 
@@ -704,16 +582,6 @@ int main(int argc, char** argv) {
   params.m = cli.m;
   params.n_level = cli.n_level;
   params.storage_floor = cli.floor;
-  if (cli.batch_encode && cli.pipeline_encode) {
-    std::fprintf(stderr,
-                 "--batch-encode and --pipeline-encode are exclusive\n");
-    return 2;
-  }
-  if (cli.batch_encode) {
-    params.transitions = core::TransitionStrategy::kBatched;
-  } else if (cli.pipeline_encode) {
-    params.transitions = core::TransitionStrategy::kPipelined;
-  }
   Mechanism mechanism = parse_mechanism(cli.mechanism);
 
   // --- run ---------------------------------------------------------------
@@ -824,18 +692,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     corec->stats().promotions),
                 corec->repair_backlog());
-    if (const auto* pe = corec->pipelined_encoder()) {
-      const auto& ps = pe->stats();
-      std::printf("pipeline encode : %llu ring(s) over %llu hop(s), "
-                  "%llu fallback(s), %llu corrupt frame(s); max node "
-                  "%llu B moved\n",
-                  static_cast<unsigned long long>(ps.ring_encodes),
-                  static_cast<unsigned long long>(ps.hops),
-                  static_cast<unsigned long long>(ps.fallbacks),
-                  static_cast<unsigned long long>(ps.corrupt_partials),
-                  static_cast<unsigned long long>(
-                      ps.max_node_bytes_moved));
-    }
   }
   if (meta_service != nullptr) {
     const auto& ms = meta_service->stats();

@@ -1,7 +1,8 @@
 // Microbenchmark: GF(2^8) kernel throughput — the region operations
 // that dominate Reed-Solomon encode/decode cost. Feeds the cost-model
 // calibration (net::calibrate_encode_rate). Also measures the CRC32C
-// kernels, the other per-byte cost on every put and every shard.
+// kernels, the other per-byte cost on every put and every shard, and
+// their copy-with-CRC forms next to a plain memcpy.
 //
 // Benchmarks are registered once per kernel this build/CPU can run
 // (GF: portable/ssse3/avx2; CRC32C: portable/sse42), so one run
@@ -11,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -57,10 +59,10 @@ void BM_RegionXor(benchmark::State& state, const Kernels* kernels) {
                           static_cast<std::int64_t>(n));
 }
 
-/// The fused RS parity row: dst ^= sum of k coefficient-scaled sources
+/// The fused RS parity row: dst = sum of k coefficient-scaled sources
 /// in one pass. Bytes processed counts the k source streams — the
 /// figure comparable to per-source region_mul_add calls.
-void BM_RegionMulAddMulti(benchmark::State& state, const Kernels* kernels) {
+void BM_RegionMulMulti(benchmark::State& state, const Kernels* kernels) {
   constexpr std::size_t kSources = 6;
   std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<std::vector<std::uint8_t>> bufs;
@@ -73,8 +75,7 @@ void BM_RegionMulAddMulti(benchmark::State& state, const Kernels* kernels) {
   }
   auto dst = make_buf(n, 99);
   for (auto _ : state) {
-    kernels->mul_add_multi(coeffs, srcs.data(), kSources, dst.data(), n,
-                           true);
+    kernels->mul_multi(coeffs, srcs.data(), kSources, dst.data(), n);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -88,6 +89,35 @@ void BM_Crc32c(benchmark::State& state, const Crc32cKernel* kernel) {
   for (auto _ : state) {
     crc = kernel->fn(buf.data(), n, crc);
     benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_Memcpy(benchmark::State& state) {
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  auto src = make_buf(n, 5);
+  std::vector<std::uint8_t> dst(n);
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), n);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+/// The put's ingest pass: copy into a fresh store and checksum it,
+/// reading the source once.
+void BM_Crc32cCopy(benchmark::State& state, const Crc32cKernel* kernel) {
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  auto src = make_buf(n, 5);
+  std::vector<std::uint8_t> dst(n);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = kernel->copy(dst.data(), src.data(), n, crc);
+    benchmark::DoNotOptimize(crc);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -121,14 +151,25 @@ void register_region_benchmarks() {
     benchmark::RegisterBenchmark(("BM_RegionXor" + suffix).c_str(),
                                  BM_RegionXor, k)
         ->Range(1 << 10, 1 << 22);
-    benchmark::RegisterBenchmark(("BM_RegionMulAddMulti" + suffix).c_str(),
-                                 BM_RegionMulAddMulti, k)
+    benchmark::RegisterBenchmark(("BM_RegionMulMulti" + suffix).c_str(),
+                                 BM_RegionMulMulti, k)
         ->Range(1 << 10, 1 << 22);
   }
   // Sizes: a serve_small object, a corec_s3d object, a serve_bulk put.
+  // BM_Memcpy + BM_Crc32c is what BM_Crc32cCopy fuses.
+  benchmark::RegisterBenchmark("BM_Memcpy", BM_Memcpy)
+      ->Arg(4096)
+      ->Arg(32768)
+      ->Arg(2097152);
   for (const Crc32cKernel* k : corec::detail::crc32c_available_kernels()) {
     benchmark::RegisterBenchmark(
         (std::string("BM_Crc32c/") + k->name).c_str(), BM_Crc32c, k)
+        ->Arg(4096)
+        ->Arg(32768)
+        ->Arg(2097152);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Crc32cCopy/") + k->name).c_str(), BM_Crc32cCopy,
+        k)
         ->Arg(4096)
         ->Arg(32768)
         ->Arg(2097152);

@@ -3,8 +3,8 @@
 // marking, victim sampling), region get (scatter/gather assembly),
 // the S3D 32-piece get through the service, the hyperslab copy that
 // stitches pieces into a get's buffer, and the token-serial replica→EC
-// transition at RS(8,2), plus metadata-directory churn and
-// latest-version lookup on one large version bucket. Counters expose
+// transition at RS(8,2), plus metadata-directory churn, latest-version
+// lookup on one large version bucket and object-store churn. Counters expose
 // the payload-traffic invariants the buffers are meant to deliver —
 // allocations and bytes copied per object, CRC recomputes vs cache
 // hits — so BENCH_staging.json tracks copy-count regressions PR over
@@ -448,6 +448,40 @@ void BM_DirectoryQueryLatest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DirectoryQueryLatest)->Arg(4096);
+
+/// One corec_s3d server store: about 2,048 entries keyed by 16^3
+/// blocks, whole copies and stripe shards. Each iteration finds one
+/// entry, erases another and puts it back, the store traffic of a put
+/// or a demotion.
+void BM_ObjectStoreChurn(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<ObjectDescriptor> descs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto b = static_cast<std::int64_t>(i / 4);
+    const auto x = b % 16 * 16, y = b / 16 % 16 * 16, z = b / 256 * 16;
+    ObjectDescriptor desc;
+    desc.var = 1 + static_cast<corec::VarId>(b % 4);
+    desc.version = static_cast<corec::Version>(b % 10);
+    desc.box = corec::geom::BoundingBox::cube(x, y, z, x + 15, y + 15, z + 15);
+    desc.shard = static_cast<corec::staging::ShardIndex>(i % 4);
+    descs.push_back(desc);
+  }
+  corec::staging::ObjectStore store;
+  for (const auto& d : descs) {
+    (void)store.put(DataObject::make_phantom(d, 32768),
+                    corec::staging::StoredKind::kReplica);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    i = (i + 7919) % n;
+    benchmark::DoNotOptimize(store.find(descs[(i + n / 2) % n]));
+    benchmark::DoNotOptimize(store.erase(descs[i]));
+    (void)store.put(DataObject::make_phantom(descs[i], 32768),
+                    corec::staging::StoredKind::kReplica);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ObjectStoreChurn)->Arg(2048);
 
 }  // namespace
 

@@ -60,6 +60,16 @@ PayloadBuffer PayloadBuffer::copy_of(ByteSpan data) {
   return buf;
 }
 
+PayloadBuffer PayloadBuffer::copy_with_crc(ByteSpan data) {
+  PayloadBuffer buf = from_pool(data.size());
+  if (data.empty()) return buf;
+  buf.crc_ = corec::crc32c_copy(buf.rep_->base, data.data(), data.size());
+  buf.crc_gen_ = buf.generation();
+  buf.crc_valid_ = true;
+  payload_metrics().crc_computed.fetch_add(1, std::memory_order_relaxed);
+  return buf;
+}
+
 PayloadBuffer PayloadBuffer::zeros(std::size_t size) {
   PayloadBuffer buf = from_pool(size);
   if (size > 0) std::memset(buf.rep_->base, 0, size);

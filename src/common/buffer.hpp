@@ -71,8 +71,10 @@ PayloadMetrics& payload_metrics();
 /// Each mutation bumps the store's generation counter; `crc32c()`
 /// caches the last computed tag against that generation, so unmutated
 /// reads skip recompute while a corrupted buffer always re-checksums.
-/// The cache only ever holds values this view actually computed —
-/// claimed tags from the wire never seed it.
+/// The cache only ever holds values computed from this view's own
+/// bytes — by crc32c(), or by copy_with_crc() over the bytes it copies
+/// into the store, in the same pass — and claimed tags from the wire
+/// never seed it.
 ///
 /// Thread-safety: the refcount and generation are atomic, so distinct
 /// views may be copied/read concurrently (an RPC response slice is read
@@ -99,6 +101,12 @@ class PayloadBuffer {
 
   /// Copies `data` into a fresh pool-backed store.
   static PayloadBuffer copy_of(ByteSpan data);
+
+  /// copy_of that checksums the bytes in the same pass (crc32c_copy)
+  /// and caches the tag, so the following crc32c() is free. Counts one
+  /// crc_computed and, as an ingest copy like copy_region into
+  /// from_pool(), no bytes_copied.
+  static PayloadBuffer copy_with_crc(ByteSpan data);
 
   /// A fresh zero-filled pool-backed store of `size` bytes.
   static PayloadBuffer zeros(std::size_t size);

@@ -1,5 +1,7 @@
 #include "common/checksum.hpp"
 
+#include <cstring>
+
 #include "common/checksum_kernels.hpp"
 
 namespace corec {
@@ -70,7 +72,15 @@ std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t len,
   return ~crc;
 }
 
-constexpr Crc32cKernel kPortableKernel = {"portable", crc32c_portable};
+std::uint32_t crc32c_copy_portable(std::uint8_t* dst,
+                                   const std::uint8_t* src,
+                                   std::size_t len, std::uint32_t seed) {
+  if (len != 0) std::memcpy(dst, src, len);
+  return crc32c_portable(src, len, seed);
+}
+
+constexpr Crc32cKernel kPortableKernel = {"portable", crc32c_portable,
+                                          crc32c_copy_portable};
 
 bool cpu_has_sse42() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -120,6 +130,11 @@ bool crc32c_sse42_compiled() {
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len,
                      std::uint32_t seed) {
   return detail::crc32c_selected_kernel().fn(data, len, seed);
+}
+
+std::uint32_t crc32c_copy(std::uint8_t* dst, const std::uint8_t* src,
+                          std::size_t len, std::uint32_t seed) {
+  return detail::crc32c_selected_kernel().copy(dst, src, len, seed);
 }
 
 const char* crc32c_kernel_name() {

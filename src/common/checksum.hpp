@@ -22,7 +22,15 @@ inline std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0) {
   return crc32c(data.data(), data.size(), seed);
 }
 
-/// Name of the kernel crc32c() runs: "portable" or "sse42".
+/// Copies `len` bytes from `src` to `dst` (the ranges must not overlap)
+/// and returns crc32c(src, len, seed). The SSE4.2 kernel reads `src`
+/// once, checksumming the bytes it wrote while they are in L1; the
+/// portable one is memcpy then crc32c.
+std::uint32_t crc32c_copy(std::uint8_t* dst, const std::uint8_t* src,
+                          std::size_t len, std::uint32_t seed = 0);
+
+/// Name of the kernel crc32c() and crc32c_copy() run: "portable" or
+/// "sse42".
 const char* crc32c_kernel_name();
 
 }  // namespace corec

@@ -2,7 +2,8 @@
 // SSE4.2 kernel (hardware CRC32 instruction, three interleaved streams)
 // when the build compiled it and CPUID reports SSE4.2, and the portable
 // slice-by-8 loop otherwise. Both compute the same function bit for
-// bit; tests and benchmarks reach each kernel directly through here.
+// bit, and each has a copying form behind corec::crc32c_copy(); tests
+// and benchmarks reach each kernel directly through here.
 #pragma once
 
 #include <cstddef>
@@ -15,9 +16,14 @@ namespace corec::detail {
 using Crc32cFn = std::uint32_t (*)(const std::uint8_t* data,
                                    std::size_t len, std::uint32_t seed);
 
+using Crc32cCopyFn = std::uint32_t (*)(std::uint8_t* dst,
+                                       const std::uint8_t* src,
+                                       std::size_t len, std::uint32_t seed);
+
 struct Crc32cKernel {
-  const char* name;  // "portable" or "sse42"
-  Crc32cFn fn;       // same contract as corec::crc32c
+  const char* name;   // "portable" or "sse42"
+  Crc32cFn fn;        // same contract as corec::crc32c
+  Crc32cCopyFn copy;  // same contract as corec::crc32c_copy
 };
 
 /// The kernel crc32c() dispatches to (resolved once on first use).

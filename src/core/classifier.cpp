@@ -106,8 +106,8 @@ const std::vector<AccessRecord*>& AccessClassifier::neighbours(
 
 const AccessRecord& AccessClassifier::record_write(
     VarId var, const geom::BoundingBox& box, Version step) {
-  auto [it, inserted] = records_.try_emplace(key_of(var, box));
-  AccessRecord& r = it->second;
+  auto [rec, inserted] = records_.try_emplace(key_of(var, box));
+  AccessRecord& r = *rec;
   ++decisions_;
   if (inserted) {
     r.var = var;
@@ -146,11 +146,11 @@ const AccessRecord& AccessClassifier::record_write(
 void AccessClassifier::record_read(VarId var, const geom::BoundingBox& box,
                                    Version step) {
   if (!options_.count_reads) return;
-  auto it = records_.find(key_of(var, box));
-  if (it == records_.end()) return;
-  it->second.last_read = step;
-  it->second.ever_read = true;
-  it->second.frequency += 1.0;
+  AccessRecord* r = records_.find(key_of(var, box));
+  if (r == nullptr) return;
+  r->last_read = step;
+  r->ever_read = true;
+  r->frequency += 1.0;
   ++decisions_;
 }
 
@@ -180,9 +180,9 @@ bool AccessClassifier::is_hot_record(const AccessRecord& r,
 
 bool AccessClassifier::is_hot(VarId var, const geom::BoundingBox& box,
                               Version step) const {
-  auto it = records_.find(key_of(var, box));
-  if (it == records_.end()) return true;  // new data is hot by definition
-  return is_hot_record(it->second, step);
+  const AccessRecord* r = records_.find(key_of(var, box));
+  if (r == nullptr) return true;  // new data is hot by definition
+  return is_hot_record(*r, step);
 }
 
 Version AccessClassifier::predicted_next(const AccessRecord& r,
@@ -207,22 +207,20 @@ Version AccessClassifier::predicted_next(const AccessRecord& r,
 
 Version AccessClassifier::predicted_next_write(
     VarId var, const geom::BoundingBox& box, Version step) const {
-  auto it = records_.find(key_of(var, box));
-  if (it == records_.end()) return kNeverVersion;
-  return predicted_next(it->second, step);
+  const AccessRecord* r = records_.find(key_of(var, box));
+  return r == nullptr ? kNeverVersion : predicted_next(*r, step);
 }
 
 void AccessClassifier::end_of_step(Version step) {
   (void)step;
-  for (auto& [key, r] : records_) {
+  records_.for_each([this](const Key&, AccessRecord& r) {
     r.frequency *= options_.frequency_decay;
-  }
+  });
 }
 
 const AccessRecord* AccessClassifier::find(
     VarId var, const geom::BoundingBox& box) const {
-  auto it = records_.find(key_of(var, box));
-  return it == records_.end() ? nullptr : &it->second;
+  return records_.find(key_of(var, box));
 }
 
 }  // namespace corec::core

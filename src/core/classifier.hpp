@@ -16,6 +16,7 @@
 
 #include "common/types.hpp"
 #include "geom/bbox.hpp"
+#include "staging/descriptor_table.hpp"
 #include "staging/object.hpp"
 
 namespace corec::core {
@@ -128,10 +129,11 @@ class AccessClassifier {
   const std::vector<AccessRecord*>& neighbours(AccessRecord& r);
 
   ClassifierOptions options_;
-  // Invariant: records are never erased, and unordered_map nodes do not
-  // move on rehash, so the AccessRecord* held by grid_ cells, neighbour
-  // caches and callers of record_write() stay valid.
-  std::unordered_map<Key, AccessRecord, staging::DescriptorHash> records_;
+  // Invariant: records are never erased, and DescriptorTable nodes do
+  // not move on growth, so the AccessRecord* held by grid_ cells,
+  // neighbour caches and callers of record_write() stay valid. Its only
+  // iteration, end_of_step's per-record decay, is order-free.
+  staging::DescriptorTable<AccessRecord> records_;
   std::unordered_map<CellKey, std::vector<AccessRecord*>, CellKeyHash> grid_;
   // Bumped by every index_insert: a neighbour cache filled at an older
   // generation may miss an entity indexed since.

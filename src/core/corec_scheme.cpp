@@ -65,9 +65,11 @@ SimTime CorecScheme::protect(const DataObject& obj, ServerId primary,
   std::size_t prev_logical = 0;
   if (previous != nullptr) {
     const ObjectLocation* prev_loc = service_->directory().find(*previous);
-    if (prev_loc != nullptr) prev_logical = prev_loc->logical_size;
     recovery_->forget(*previous);
-    retire_object(*service_, *previous);
+    if (prev_loc != nullptr) {
+      prev_logical = prev_loc->logical_size;
+      retire_object(*service_, *previous, *prev_loc);
+    }
     pool_.erase(*previous);
   }
   std::ptrdiff_t logical_delta =
@@ -156,22 +158,30 @@ std::size_t CorecScheme::repair_backlog() const {
 }
 
 bool CorecScheme::materialize(const ObjectDescriptor& desc,
+                              const ObjectLocation& loc,
                               DataObject* out) const {
-  const ObjectLocation* loc = service_->directory().find(desc);
-  if (loc == nullptr) return false;
-  if (loc->protection != Protection::kEncoded) {
-    std::vector<ServerId> holders = loc->replicas;
-    holders.insert(holders.begin(), loc->primary);
-    for (ServerId h : holders) {
+  // The entry `piece` on live server `s` when it verifies against
+  // `expected`; nullptr when missing, and quarantined when corrupt.
+  auto verified = [this](ServerId s, const ObjectDescriptor& piece,
+                         std::uint32_t expected)
+      -> const staging::StoredObject* {
+    if (s >= service_->num_servers() || !service_->alive(s)) return nullptr;
+    const staging::StoredObject* stored =
+        service_->server(s).store.find(piece);
+    if (stored == nullptr ||
+        service_->probe_stored(s, piece, expected, stored) !=
+            staging::ShardHealth::kOk) {
+      return nullptr;
+    }
+    return stored;
+  };
+  if (loc.protection != Protection::kEncoded) {
+    // Holders in order: the primary, then the replicas.
+    for (std::size_t i = 0; i <= loc.replicas.size(); ++i) {
+      const ServerId h = i == 0 ? loc.primary : loc.replicas[i - 1];
       // Checksum-verified source: a corrupt copy is quarantined and the
       // next holder tried, so transitions never re-encode bad bytes.
-      if (service_->probe_stored(h, desc, loc->object_checksum) !=
-          staging::ShardHealth::kOk) {
-        continue;
-      }
-      const staging::StoredObject* stored =
-          service_->server(h).store.find(desc);
-      if (stored != nullptr) {
+      if (const auto* stored = verified(h, desc, loc.object_checksum)) {
         *out = stored->object;
         out->desc = desc;
         return true;
@@ -184,23 +194,18 @@ bool CorecScheme::materialize(const ObjectDescriptor& desc,
   // promotion is simply skipped). Each verified chunk view is copied
   // straight to its final offset — no concatenate-and-resize.
   bool phantom = false;
-  Bytes payload(loc->logical_size, 0);
-  for (std::uint32_t i = 0; i < loc->k; ++i) {
-    ServerId s = loc->stripe_servers[i];
-    auto shard_desc = desc.shard_of(static_cast<ShardIndex>(1 + i));
-    if (service_->probe_stored(s, shard_desc,
-                               staging::shard_checksum(*loc, i)) !=
-        staging::ShardHealth::kOk) {
-      return false;
-    }
+  Bytes payload(loc.logical_size, 0);
+  for (std::uint32_t i = 0; i < loc.k; ++i) {
     const staging::StoredObject* stored =
-        service_->server(s).store.find(shard_desc);
+        verified(loc.stripe_servers[i],
+                 desc.shard_of(static_cast<ShardIndex>(1 + i)),
+                 staging::shard_checksum(loc, i));
     if (stored == nullptr) return false;
     if (stored->object.phantom) {
       phantom = true;
     } else {
       const std::size_t begin =
-          static_cast<std::size_t>(i) * loc->chunk_size;
+          static_cast<std::size_t>(i) * loc.chunk_size;
       if (begin >= payload.size()) continue;
       const std::size_t want = std::min<std::size_t>(
           payload.size() - begin, stored->object.data.size());
@@ -209,7 +214,7 @@ bool CorecScheme::materialize(const ObjectDescriptor& desc,
     }
   }
   if (phantom) {
-    *out = DataObject::make_phantom(desc, loc->logical_size);
+    *out = DataObject::make_phantom(desc, loc.logical_size);
   } else {
     payload_metrics().bytes_copied.fetch_add(payload.size(),
                                              std::memory_order_relaxed);
@@ -218,7 +223,7 @@ bool CorecScheme::materialize(const ObjectDescriptor& desc,
     // fresh full-payload CRC pass is skipped.
     *out = DataObject::with_checksum(
         desc, PayloadBuffer::wrap(std::move(payload)),
-        loc->object_checksum);
+        loc.object_checksum);
   }
   return true;
 }
@@ -231,7 +236,7 @@ void CorecScheme::demote(const ObjectDescriptor& desc, SimTime now) {
   }
 
   DataObject obj;
-  if (!materialize(desc, &obj)) return;
+  if (!materialize(desc, *loc, &obj)) return;
   ServerId primary = loc->primary;
 
   // Every live copy holder is an encoder candidate — the token workflow
@@ -243,7 +248,7 @@ void CorecScheme::demote(const ObjectDescriptor& desc, SimTime now) {
   }
   if (holders.empty()) return;
 
-  retire_object(*service_, desc);
+  retire_object(*service_, desc, *loc);
   pool_.erase(desc);
   ServerId encoder = workflow_->pick_encoder(holders, now);
   SimTime start = workflow_->acquire(encoder, now);
@@ -260,7 +265,7 @@ void CorecScheme::promote(const ObjectDescriptor& desc, SimTime now) {
   const auto& cost = service_->cost();
 
   DataObject obj;
-  if (!materialize(desc, &obj)) return;
+  if (!materialize(desc, *loc, &obj)) return;
   ServerId primary = loc->primary;
   if (!service_->alive(primary)) return;
 
@@ -280,7 +285,7 @@ void CorecScheme::promote(const ObjectDescriptor& desc, SimTime now) {
     gathered = std::max(gathered, t1 + xfer);
   }
 
-  retire_object(*service_, desc);
+  retire_object(*service_, desc, *loc);
   place_replicated(*service_, obj, primary, options_.n_level, gathered,
                    &stats_.background);
   pool_.try_emplace(desc, classifier_.find(desc.var, desc.box));

@@ -93,8 +93,10 @@ class CorecScheme final : public staging::ResilienceScheme {
   void promote(const staging::ObjectDescriptor& desc, SimTime now);
 
   /// Reassembles the payload of an entity from its current
-  /// representation (copy or chunks); returns false when unavailable.
+  /// representation (copy or chunks), as its directory record `loc`
+  /// lists it; returns false when unavailable.
   bool materialize(const staging::ObjectDescriptor& desc,
+                   const staging::ObjectLocation& loc,
                    staging::DataObject* out) const;
 
   CorecOptions options_;
@@ -113,7 +115,8 @@ class CorecScheme final : public staging::ResilienceScheme {
   /// entry carries its entity's access record (stable, see
   /// AccessClassifier), so sampling a victim costs no classifier lookup.
   /// Keys are inserted and erased exactly as a set of descriptors would
-  /// be, so iteration order — and thus the victim sample — is too.
+  /// be, so iteration order — and thus the victim sample, its first 64
+  /// entries — is too. That order is why this stays a std::unordered_map.
   std::unordered_map<staging::ObjectDescriptor, const AccessRecord*,
                      staging::DescriptorHash>
       pool_;

@@ -57,6 +57,9 @@ class RecoveryManager {
  private:
   struct PendingSet {
     ServerId server = kInvalidServer;
+    // Stays a std::unordered_set: run_batch repairs the first `quota`
+    // entries in iteration order, so the order picks what is repaired
+    // when.
     std::unordered_set<staging::ObjectDescriptor,
                        staging::DescriptorHash>
         descs;

@@ -93,17 +93,6 @@ inline std::size_t compact_nonzero(const std::uint8_t* coeffs,
 
 }  // namespace
 
-void region_mul_add_multi(const std::uint8_t* coeffs,
-                          const std::uint8_t* const* srcs, std::size_t k,
-                          std::span<std::uint8_t> dst) {
-  assert(k <= kGroupOrder);
-  std::uint8_t c[kGroupOrder];
-  const std::uint8_t* s[kGroupOrder];
-  std::size_t nz = compact_nonzero(coeffs, srcs, k, c, s);
-  if (nz == 0 || dst.empty()) return;
-  kernels().mul_add_multi(c, s, nz, dst.data(), dst.size(), true);
-}
-
 void region_mul_multi(const std::uint8_t* coeffs,
                       const std::uint8_t* const* srcs, std::size_t k,
                       std::span<std::uint8_t> dst) {
@@ -116,7 +105,7 @@ void region_mul_multi(const std::uint8_t* coeffs,
     std::memset(dst.data(), 0, dst.size());
     return;
   }
-  kernels().mul_add_multi(c, s, nz, dst.data(), dst.size(), false);
+  kernels().mul_multi(c, s, nz, dst.data(), dst.size());
 }
 
 }  // namespace corec::gf

@@ -98,18 +98,11 @@ void region_mul(std::uint8_t c, std::span<const std::uint8_t> src,
 void region_xor(std::span<const std::uint8_t> src,
                 std::span<std::uint8_t> dst);
 
-/// Fused multi-source accumulate: dst[i] ^= sum_j coeffs[j]*srcs[j][i],
-/// produced in a single pass over dst. Every srcs[j] must hold
-/// dst.size() readable bytes and must not overlap dst. This is the
-/// Reed-Solomon parity row evaluated without re-reading the parity
-/// buffer once per data block.
-void region_mul_add_multi(const std::uint8_t* coeffs,
-                          const std::uint8_t* const* srcs, std::size_t k,
-                          std::span<std::uint8_t> dst);
-
-/// Fused multi-source overwrite: dst[i] = sum_j coeffs[j]*srcs[j][i]
-/// (no prior zero-fill of dst needed). Same contract as
-/// region_mul_add_multi otherwise.
+/// Fused multi-source overwrite: dst[i] = sum_j coeffs[j]*srcs[j][i],
+/// produced in a single pass over dst (no prior zero-fill needed).
+/// Every srcs[j] must hold dst.size() readable bytes and must not
+/// overlap dst. This is the Reed-Solomon parity row evaluated without
+/// re-reading the parity buffer once per data block.
 void region_mul_multi(const std::uint8_t* coeffs,
                       const std::uint8_t* const* srcs, std::size_t k,
                       std::span<std::uint8_t> dst);

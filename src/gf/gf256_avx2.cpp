@@ -73,16 +73,14 @@ void xor_avx2(const std::uint8_t* src, std::uint8_t* dst, std::size_t n) {
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void mul_add_multi_avx2(const std::uint8_t* coeffs,
-                        const std::uint8_t* const* srcs, std::size_t nsrc,
-                        std::uint8_t* dst, std::size_t n, bool accumulate) {
+void mul_multi_avx2(const std::uint8_t* coeffs,
+                    const std::uint8_t* const* srcs, std::size_t nsrc,
+                    std::uint8_t* dst, std::size_t n) {
   const NibbleTables& t = nibble_tables();
   const __m256i mask = _mm256_set1_epi8(0x0f);
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
-    __m256i acc = accumulate ? _mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(dst + i))
-                             : _mm256_setzero_si256();
+    __m256i acc = _mm256_setzero_si256();
     for (std::size_t j = 0; j < nsrc; ++j) {
       const std::uint8_t c = coeffs[j];
       __m256i s = _mm256_loadu_si256(
@@ -94,15 +92,15 @@ void mul_add_multi_avx2(const std::uint8_t* coeffs,
   }
   if (i < n) {
     std::size_t rem = n - i;
-    if (!accumulate) mul_nibble_tail(t, coeffs[0], srcs[0] + i, dst + i, rem);
-    for (std::size_t j = accumulate ? 0 : 1; j < nsrc; ++j) {
+    mul_nibble_tail(t, coeffs[0], srcs[0] + i, dst + i, rem);
+    for (std::size_t j = 1; j < nsrc; ++j) {
       mul_add_nibble_tail(t, coeffs[j], srcs[j] + i, dst + i, rem);
     }
   }
 }
 
 constexpr Kernels kAvx2Kernels = {"avx2", mul_add_avx2, mul_avx2,
-                                  xor_avx2, mul_add_multi_avx2};
+                                  xor_avx2, mul_multi_avx2};
 
 }  // namespace
 

@@ -97,10 +97,9 @@ void mul_portable(std::uint8_t c, const std::uint8_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
 }
 
-void mul_add_multi_portable(const std::uint8_t* coeffs,
-                            const std::uint8_t* const* srcs,
-                            std::size_t nsrc, std::uint8_t* dst,
-                            std::size_t n, bool accumulate) {
+void mul_multi_portable(const std::uint8_t* coeffs,
+                        const std::uint8_t* const* srcs, std::size_t nsrc,
+                        std::uint8_t* dst, std::size_t n) {
   if (n == 0) return;
   // Cache-blocked: walk dst in L1-sized chunks so the nsrc
   // accumulation sweeps hit a resident destination instead of
@@ -108,12 +107,8 @@ void mul_add_multi_portable(const std::uint8_t* coeffs,
   constexpr std::size_t kBlock = 8192;
   for (std::size_t off = 0; off < n; off += kBlock) {
     std::size_t len = n - off < kBlock ? n - off : kBlock;
-    std::size_t j = 0;
-    if (!accumulate) {
-      mul_portable(coeffs[0], srcs[0] + off, dst + off, len);
-      j = 1;
-    }
-    for (; j < nsrc; ++j) {
+    mul_portable(coeffs[0], srcs[0] + off, dst + off, len);
+    for (std::size_t j = 1; j < nsrc; ++j) {
       mul_add_portable(coeffs[j], srcs[j] + off, dst + off, len);
     }
   }
@@ -121,7 +116,7 @@ void mul_add_multi_portable(const std::uint8_t* coeffs,
 
 constexpr Kernels kPortableKernels = {"portable", mul_add_portable,
                                      mul_portable, xor_portable,
-                                     mul_add_multi_portable};
+                                     mul_multi_portable};
 
 // --- dispatch -----------------------------------------------------------
 

@@ -44,12 +44,12 @@ struct Kernels {
   void (*xor_into)(const std::uint8_t* src, std::uint8_t* dst,
                    std::size_t n);
 
-  /// Fused multi-source op: dst[i] (^)= sum_j coeffs[j] * srcs[j][i],
-  /// one pass over dst per call (accumulate=false overwrites dst).
-  /// Callers guarantee nsrc >= 1 and every coeffs[j] != 0.
-  void (*mul_add_multi)(const std::uint8_t* coeffs,
-                        const std::uint8_t* const* srcs, std::size_t nsrc,
-                        std::uint8_t* dst, std::size_t n, bool accumulate);
+  /// Fused multi-source overwrite: dst[i] = sum_j coeffs[j] * srcs[j][i],
+  /// one pass over dst per call. Callers guarantee nsrc >= 1 and every
+  /// coeffs[j] != 0.
+  void (*mul_multi)(const std::uint8_t* coeffs,
+                    const std::uint8_t* const* srcs, std::size_t nsrc,
+                    std::uint8_t* dst, std::size_t n);
 };
 
 /// The kernel table selected for this process (CPUID + COREC_GF_KERNEL

@@ -68,18 +68,14 @@ void xor_ssse3(const std::uint8_t* src, std::uint8_t* dst, std::size_t n) {
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void mul_add_multi_ssse3(const std::uint8_t* coeffs,
-                         const std::uint8_t* const* srcs, std::size_t nsrc,
-                         std::uint8_t* dst, std::size_t n,
-                         bool accumulate) {
+void mul_multi_ssse3(const std::uint8_t* coeffs,
+                     const std::uint8_t* const* srcs, std::size_t nsrc,
+                     std::uint8_t* dst, std::size_t n) {
   const NibbleTables& t = nibble_tables();
   const __m128i mask = _mm_set1_epi8(0x0f);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    __m128i acc =
-        accumulate
-            ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i))
-            : _mm_setzero_si128();
+    __m128i acc = _mm_setzero_si128();
     for (std::size_t j = 0; j < nsrc; ++j) {
       const std::uint8_t c = coeffs[j];
       __m128i tl =
@@ -94,15 +90,15 @@ void mul_add_multi_ssse3(const std::uint8_t* coeffs,
   }
   if (i < n) {
     std::size_t rem = n - i;
-    if (!accumulate) mul_nibble_tail(t, coeffs[0], srcs[0] + i, dst + i, rem);
-    for (std::size_t j = accumulate ? 0 : 1; j < nsrc; ++j) {
+    mul_nibble_tail(t, coeffs[0], srcs[0] + i, dst + i, rem);
+    for (std::size_t j = 1; j < nsrc; ++j) {
       mul_add_nibble_tail(t, coeffs[j], srcs[j] + i, dst + i, rem);
     }
   }
 }
 
 constexpr Kernels kSsse3Kernels = {"ssse3", mul_add_ssse3, mul_ssse3,
-                                   xor_ssse3, mul_add_multi_ssse3};
+                                   xor_ssse3, mul_multi_ssse3};
 
 }  // namespace
 

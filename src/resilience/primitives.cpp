@@ -343,15 +343,19 @@ SimTime charge_stripe_peer_reads(StagingService& service,
 
 void retire_object(StagingService& service, const ObjectDescriptor& desc) {
   const ObjectLocation* loc = service.directory().find(desc);
-  if (loc == nullptr) return;
-  if (loc->protection == Protection::kEncoded) {
-    for (std::size_t i = 0; i < loc->stripe_servers.size(); ++i) {
-      service.remove_at(loc->stripe_servers[i],
+  if (loc != nullptr) retire_object(service, desc, *loc);
+}
+
+void retire_object(StagingService& service, const ObjectDescriptor& desc,
+                   const ObjectLocation& loc) {
+  if (loc.protection == Protection::kEncoded) {
+    for (std::size_t i = 0; i < loc.stripe_servers.size(); ++i) {
+      service.remove_at(loc.stripe_servers[i],
                         desc.shard_of(static_cast<ShardIndex>(1 + i)));
     }
   } else {
-    service.remove_at(loc->primary, desc);
-    for (ServerId r : loc->replicas) service.remove_at(r, desc);
+    service.remove_at(loc.primary, desc);
+    for (ServerId r : loc.replicas) service.remove_at(r, desc);
   }
   service.directory().remove(desc);
 }

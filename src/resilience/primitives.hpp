@@ -59,6 +59,12 @@ SimTime place_encoded(staging::StagingService& service,
 void retire_object(staging::StagingService& service,
                    const staging::ObjectDescriptor& desc);
 
+/// retire_object for a caller that already found `desc`'s directory
+/// record `loc`; `loc` dangles once this returns.
+void retire_object(staging::StagingService& service,
+                   const staging::ObjectDescriptor& desc,
+                   const staging::ObjectLocation& loc);
+
 /// The erasure update penalty of Section II-A: before re-encoding an
 /// already-encoded object, the updating server must read the stripe's
 /// peer chunks from the other group members ("updating one data object

@@ -36,7 +36,7 @@ void Directory::upsert(const ObjectDescriptor& desc,
   if (!bucket.mixed) append_bounds(desc.box, &bucket.bounds);
   it->second.slot = bucket.slots.size();
   bucket.slots.push_back({desc, &it->second, true});
-  entities_[entity_key(desc.var, desc.box)] = desc;
+  *entities_.try_emplace(entity_key(desc.var, desc.box)).first = desc;
 }
 
 bool Directory::remove(const ObjectDescriptor& desc) {
@@ -53,10 +53,9 @@ bool Directory::remove(const ObjectDescriptor& desc) {
   } else if (bucket.dead * 2 > bucket.slots.size()) {
     compact(bucket);
   }
-  auto eit = entities_.find(entity_key(desc.var, desc.box));
-  if (eit != entities_.end() && eit->second == desc) {
-    entities_.erase(eit);
-  }
+  const ObjectDescriptor key = entity_key(desc.var, desc.box);
+  const ObjectDescriptor* live = entities_.find(key);
+  if (live != nullptr && *live == desc) entities_.erase(key);
   return true;
 }
 
@@ -79,8 +78,7 @@ void Directory::compact(Bucket& bucket) {
 
 const ObjectDescriptor* Directory::find_entity(
     VarId var, const geom::BoundingBox& box) const {
-  auto it = entities_.find(entity_key(var, box));
-  return it == entities_.end() ? nullptr : &it->second;
+  return entities_.find(entity_key(var, box));
 }
 
 const ObjectLocation* Directory::find(const ObjectDescriptor& desc) const {

@@ -13,6 +13,7 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "staging/descriptor_table.hpp"
 #include "staging/object.hpp"
 
 namespace corec::staging {
@@ -161,12 +162,15 @@ class Directory {
   void scan_latest(VarId var, Version version,
                    const geom::BoundingBox& region, Emit&& emit) const;
 
+  // Stays a std::unordered_map, whose iteration order follows its
+  // insert/erase history: for_each walks it, and that order reaches
+  // decisions through CorecScheme::end_of_step's pool snapshot (sorted
+  // by an unstable std::sort) and RecoveryManager::on_server_replaced.
   std::unordered_map<ObjectDescriptor, Entry, DescriptorHash> locations_;
   // (var, version) -> bucket, for geometric queries.
   std::map<std::pair<VarId, Version>, Bucket> by_version_;
   // Normalized (var, box) -> live descriptor.
-  std::unordered_map<ObjectDescriptor, ObjectDescriptor, DescriptorHash>
-      entities_;
+  DescriptorTable<ObjectDescriptor> entities_;
   std::uint64_t removals_ = 0;
 };
 

@@ -5,44 +5,42 @@ namespace corec::staging {
 Status ObjectStore::put(DataObject object, StoredKind kind) {
   const std::size_t new_bytes = object.logical_size;
   // One probe: insert an empty entry or find the existing one.
-  auto [it, inserted] = entries_.try_emplace(object.desc);
-  const std::size_t replaced =
-      inserted ? 0 : it->second.object.logical_size;
+  auto [entry, inserted] = entries_.try_emplace(object.desc);
+  const std::size_t replaced = inserted ? 0 : entry->object.logical_size;
   if (capacity_ != 0 &&
       total_bytes_ - replaced + new_bytes > capacity_) {
-    if (inserted) entries_.erase(it);  // a refusal leaves nothing behind
+    // A refusal leaves nothing behind.
+    if (inserted) entries_.erase(object.desc);
     return Status::ResourceExhausted("object store over capacity");
   }
   if (!inserted) {
     total_bytes_ -= replaced;
-    kind_bytes_[static_cast<std::size_t>(it->second.kind)] -= replaced;
+    kind_bytes_[static_cast<std::size_t>(entry->kind)] -= replaced;
   }
-  it->second = StoredObject{std::move(object), kind};
+  *entry = StoredObject{std::move(object), kind};
   total_bytes_ += new_bytes;
   kind_bytes_[static_cast<std::size_t>(kind)] += new_bytes;
   return Status::Ok();
 }
 
 const StoredObject* ObjectStore::find(const ObjectDescriptor& desc) const {
-  auto it = entries_.find(desc);
-  return it == entries_.end() ? nullptr : &it->second;
+  return entries_.find(desc);
 }
 
 bool ObjectStore::erase(const ObjectDescriptor& desc) {
-  auto it = entries_.find(desc);
-  if (it == entries_.end()) return false;
-  total_bytes_ -= it->second.object.logical_size;
-  kind_bytes_[static_cast<std::size_t>(it->second.kind)] -=
-      it->second.object.logical_size;
-  entries_.erase(it);
+  StoredObject gone;
+  if (!entries_.erase(desc, &gone)) return false;
+  total_bytes_ -= gone.object.logical_size;
+  kind_bytes_[static_cast<std::size_t>(gone.kind)] -=
+      gone.object.logical_size;
   return true;
 }
 
 bool ObjectStore::flip_byte(const ObjectDescriptor& desc,
                             std::size_t offset) {
-  auto it = entries_.find(desc);
-  if (it == entries_.end()) return false;
-  DataObject& object = it->second.object;
+  StoredObject* entry = entries_.find(desc);
+  if (entry == nullptr) return false;
+  DataObject& object = entry->object;
   if (object.phantom || object.data.empty()) return false;
   // mutable_span() detaches to a private copy when the payload is
   // shared with sibling replicas, so injected corruption stays local
@@ -60,7 +58,10 @@ void ObjectStore::clear() {
 
 void ObjectStore::for_each(
     const std::function<void(const StoredObject&)>& fn) const {
-  for (const auto& [desc, stored] : entries_) fn(stored);
+  entries_.for_each(
+      [&fn](const ObjectDescriptor&, const StoredObject& stored) {
+        fn(stored);
+      });
 }
 
 }  // namespace corec::staging

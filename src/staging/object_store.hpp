@@ -5,9 +5,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <unordered_map>
 
 #include "common/status.hpp"
+#include "staging/descriptor_table.hpp"
 #include "staging/object.hpp"
 
 namespace corec::staging {
@@ -51,7 +51,9 @@ class ObjectStore {
   /// total would exceed capacity.
   Status put(DataObject object, StoredKind kind);
 
-  /// Looks up the entry with exactly this descriptor.
+  /// Looks up the entry with exactly this descriptor. The pointer stays
+  /// valid, and shows any overwrite, until that entry is erased or the
+  /// store is cleared.
   const StoredObject* find(const ObjectDescriptor& desc) const;
 
   /// Removes an entry; returns true if it was present.
@@ -88,8 +90,7 @@ class ObjectStore {
   std::size_t capacity_;
   std::size_t total_bytes_ = 0;
   std::size_t kind_bytes_[4] = {0, 0, 0, 0};
-  std::unordered_map<ObjectDescriptor, StoredObject, DescriptorHash>
-      entries_;
+  DescriptorTable<StoredObject> entries_;
 };
 
 }  // namespace corec::staging

@@ -271,6 +271,10 @@ OpResult StagingService::put_impl(VarId var, Version version,
     DataObject obj;
     if (phantom) {
       obj = DataObject::make_phantom(desc, piece.bytes);
+    } else if (piece.box == box) {
+      // The piece is the whole put: one contiguous run, copied and
+      // checksummed in one pass.
+      obj = DataObject::real(desc, PayloadBuffer::copy_with_crc(data));
     } else {
       // copy_region writes every byte of the piece, so the pooled
       // buffer needs no zero-fill first.

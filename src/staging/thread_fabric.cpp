@@ -146,7 +146,8 @@ void ThreadFabric::rehome(const membership::PoolMap& map) {
       if (home != s) moves.emplace_back(entry, home);
     });
     for (auto& [entry, home] : moves) {
-      // A copy the new home refuses (capacity) stays where it was.
+      // A copy the new home refuses (capacity) stays where it was;
+      // only then does the store's unspecified walk order matter.
       if (stores_[home]->put(entry.object, entry.kind).ok())
         stores_[s]->erase(entry.object.desc);
     }

@@ -270,6 +270,46 @@ TEST(CorecScheme, DemotionSkipsCorruptReplicaAndEncodesHealthyCopy) {
       << "reading the stripe finds no corrupt shard";
 }
 
+TEST(CorecScheme, DemotionAfterQuarantineRetiresEveryCopy) {
+  // The primary copy fails its probe and is quarantined mid-demotion;
+  // the demotion still retires both replicas through the location it
+  // found, and the incremental byte count matches a recount.
+  CorecOptions o = loose_corec();
+  o.n_level = 2;
+  o.efficiency_floor = 0.3;
+  o.classifier.cold_after = 1;
+  o.classifier.enable_spatial = false;
+  Fixture f(o);
+  auto box = geom::BoundingBox::cube(0, 0, 0, 7, 7, 7);
+  Bytes payload(static_cast<std::size_t>(box.volume()));
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  ASSERT_TRUE(f.service.put(1, 0, box, payload).status.ok());
+  const ObjectDescriptor desc = *f.service.directory().find_entity(1, box);
+  const ObjectLocation loc = *f.service.directory().find(desc);
+  ASSERT_EQ(loc.protection, Protection::kReplicated);
+  ASSERT_EQ(loc.replicas.size(), 2u);
+  ASSERT_TRUE(f.service.corrupt_at(loc.primary, desc, 7));
+
+  for (Version s = 0; s < 4; ++s) f.service.end_time_step(s);
+  ASSERT_EQ(f.protection_of(box), Protection::kEncoded);
+  EXPECT_EQ(f.scheme_ptr->stats().demotions, 1u);
+  EXPECT_EQ(f.service.integrity().quarantined, 1u);
+  EXPECT_FALSE(f.service.server(loc.primary).store.contains(desc));
+  for (ServerId r : loc.replicas) {
+    EXPECT_FALSE(f.service.server(r).store.contains(desc)) << "replica " << r;
+  }
+  const ObjectLocation& striped = *f.service.directory().find(desc);
+  EXPECT_EQ(f.service.stored_bytes(),
+            striped.chunk_size * (striped.k + striped.m));
+  EXPECT_EQ(f.service.stored_bytes(), f.service.stored_bytes_recomputed());
+
+  Bytes out;
+  ASSERT_TRUE(f.service.get(1, 4, box, &out).status.ok());
+  EXPECT_EQ(out, payload);
+}
+
 TEST(CorecScheme, TokenSerializesGroupEncodes) {
   // Four servers, two token groups, and large objects whose background
   // encodes (floor = E_e forbids any replicated steady state) overlap:

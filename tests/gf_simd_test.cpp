@@ -111,7 +111,7 @@ TEST_P(GfKernelTest, XorMatchesScalar) {
   }
 }
 
-TEST_P(GfKernelTest, MulAddMultiMatchesScalar) {
+TEST_P(GfKernelTest, MulMultiMatchesScalar) {
   const Kernels* kern = GetParam();
   Rng rng(4);
   for (std::size_t n : test_sizes()) {
@@ -125,26 +125,22 @@ TEST_P(GfKernelTest, MulAddMultiMatchesScalar) {
             1 + rng.next_u32() % 255));  // kernels require nonzero
       }
       for (const auto& b : bufs) srcs.push_back(b.data());
-      for (bool accumulate : {true, false}) {
-        Bytes dst = random_buf(rng, n);
-        Bytes expect = accumulate ? dst : Bytes(n, 0);
-        for (std::size_t j = 0; j < nsrc; ++j) {
-          for (std::size_t i = 0; i < n; ++i) {
-            expect[i] ^= mul(coeffs[j], bufs[j][i]);
-          }
+      Bytes dst = random_buf(rng, n);  // overwritten, not read
+      Bytes expect(n, 0);
+      for (std::size_t j = 0; j < nsrc; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+          expect[i] ^= mul(coeffs[j], bufs[j][i]);
         }
-        kern->mul_add_multi(coeffs.data(), srcs.data(), nsrc, dst.data(),
-                            n, accumulate);
-        ASSERT_EQ(dst, expect)
-            << kern->name << " n=" << n << " nsrc=" << nsrc
-            << " accumulate=" << accumulate;
       }
+      kern->mul_multi(coeffs.data(), srcs.data(), nsrc, dst.data(), n);
+      ASSERT_EQ(dst, expect)
+          << kern->name << " n=" << n << " nsrc=" << nsrc;
     }
   }
 }
 
-/// region_mul_add_multi / region_mul_multi (the public wrappers) must
-/// drop zero coefficients and agree with per-source region_mul_add.
+/// region_mul_multi (the public wrapper) must drop zero coefficients
+/// and agree with per-source region_mul_add.
 TEST_P(GfKernelTest, RegionMultiWrappersHandleZeroCoefficients) {
   KernelGuard guard(GetParam());
   Rng rng(5);
@@ -157,26 +153,15 @@ TEST_P(GfKernelTest, RegionMultiWrappersHandleZeroCoefficients) {
     srcs.push_back(bufs[j].data());
   }
   Bytes dst = random_buf(rng, n);
-  Bytes expect(dst);
+  Bytes expect(n, 0);
   for (std::size_t j = 0; j < 5; ++j) {
     region_mul_add(coeffs[j], bufs[j], expect);
   }
-  region_mul_add_multi(coeffs, srcs.data(), 5, dst);
+  region_mul_multi(coeffs, srcs.data(), 5, dst);
   EXPECT_EQ(dst, expect);
 
-  Bytes dst2 = random_buf(rng, n);
-  Bytes expect2(n, 0);
-  for (std::size_t j = 0; j < 5; ++j) {
-    region_mul_add(coeffs[j], bufs[j], expect2);
-  }
-  region_mul_multi(coeffs, srcs.data(), 5, dst2);
-  EXPECT_EQ(dst2, expect2);
-
-  // All-zero coefficients: add is a no-op, overwrite clears.
+  // All-zero coefficients: overwrite clears.
   std::uint8_t zeros[3] = {0, 0, 0};
-  Bytes before = dst;
-  region_mul_add_multi(zeros, srcs.data(), 3, dst);
-  EXPECT_EQ(dst, before);
   region_mul_multi(zeros, srcs.data(), 3, dst);
   EXPECT_EQ(dst, Bytes(n, 0));
 }
@@ -189,7 +174,6 @@ TEST_P(GfKernelTest, ZeroLengthRegionsAreSafe) {
   region_xor(empty, empty);
   std::uint8_t c = 3;
   const std::uint8_t* src = nullptr;
-  region_mul_add_multi(&c, &src, 0, MutableByteSpan(empty));
   region_mul_multi(&c, &src, 0, MutableByteSpan(empty));
 }
 

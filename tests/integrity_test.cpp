@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -123,6 +124,57 @@ TEST(Crc32c, EveryKernelMatchesPortableAtLaneBoundaries) {
       }
     }
   }
+}
+
+TEST(Crc32c, CopyKernelsMatchMemcpyPlusCrc) {
+  // Every kernel's copying form must write exactly memcpy's bytes and
+  // return exactly crc32c's tag: at every source alignment 0-15 and
+  // length 0-1024 against a destination offset that differs from the
+  // source's, at the lane boundaries, and chained through seeds.
+  const Bytes src = random_bytes((1u << 20) + 64, 5);
+  const Crc32cKernel& ref = portable_kernel();
+  auto check = [&](const Crc32cKernel& k, std::size_t align,
+                   std::size_t len, std::uint32_t seed) {
+    Bytes dst(len + 32, 0xEE);
+    Bytes expect = dst;
+    const std::uint8_t* p = src.data() + align;
+    const std::size_t out = (align * 5 + 3) % 16;
+    std::memcpy(expect.data() + out, p, len);
+    ASSERT_EQ(k.copy(dst.data() + out, p, len, seed), ref.fn(p, len, seed))
+        << k.name << " align " << align << " len " << len;
+    ASSERT_EQ(dst, expect) << k.name << " align " << align << " len " << len;
+  };
+  for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
+    for (std::size_t align = 0; align < 16; ++align) {
+      for (std::size_t len = 0; len <= 1024; ++len) {
+        check(*k, align, len, static_cast<std::uint32_t>(len * align));
+      }
+    }
+    for (std::size_t len : {3 * 8192 - 1, 3 * 8192, 3 * 8192 + 1,
+                            3 * 256 - 1, 3 * 256, 3 * 256 + 1,
+                            (1 << 20) + 7}) {
+      for (std::size_t align : {0, 1, 7, 8, 13}) {
+        check(*k, align, static_cast<std::size_t>(len), 0);
+        check(*k, align, static_cast<std::size_t>(len), 0xdeadbeefu);
+      }
+    }
+    // Seed chaining: copying a payload in pieces tags it as one pass.
+    Bytes dst(100 * 1024);
+    std::uint32_t chained = 0;
+    Rng rng(6);
+    for (std::size_t off = 0; off < dst.size();) {
+      const std::size_t piece = std::min<std::size_t>(
+          1 + rng.uniform(30000), dst.size() - off);
+      chained = k->copy(dst.data() + off, src.data() + off, piece, chained);
+      off += piece;
+    }
+    EXPECT_EQ(chained, ref.fn(src.data(), dst.size(), 0)) << k->name;
+    EXPECT_EQ(0, std::memcmp(dst.data(), src.data(), dst.size())) << k->name;
+  }
+  // The dispatched entry point runs the selected kernel.
+  Bytes dst(4096);
+  EXPECT_EQ(crc32c_copy(dst.data(), src.data(), dst.size()),
+            crc32c(src.data(), dst.size()));
 }
 
 TEST(Crc32c, SeedChainsAcrossRandomSplits) {

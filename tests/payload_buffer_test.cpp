@@ -137,6 +137,23 @@ TEST(PayloadBuffer, SharedViewsCacheCrcIndependently) {
   EXPECT_EQ(payload_metrics().crc_cache_hits.load(), 1u);
 }
 
+TEST(PayloadBuffer, CopyWithCrcCachesTheTagOfTheBytesItWrote) {
+  payload_metrics().reset();
+  const Bytes src = pattern_bytes(40000);
+  auto buf = PayloadBuffer::copy_with_crc(src);
+  EXPECT_EQ(buf, src);
+  EXPECT_EQ(payload_metrics().crc_computed.load(), 1u);
+  EXPECT_EQ(payload_metrics().bytes_copied.load(), 0u);
+  EXPECT_EQ(buf.crc32c(), crc32c(src));
+  EXPECT_EQ(payload_metrics().crc_computed.load(), 1u);
+  EXPECT_EQ(payload_metrics().crc_cache_hits.load(), 1u);
+  // The seeded tag obeys the generation rule like a computed one.
+  buf.mutable_span()[7] ^= 0x10;
+  EXPECT_NE(buf.crc32c(), crc32c(src));
+  EXPECT_EQ(payload_metrics().crc_computed.load(), 2u);
+  EXPECT_TRUE(PayloadBuffer::copy_with_crc(ByteSpan()).empty());
+}
+
 TEST(PayloadBuffer, EmptyBufferEdges) {
   PayloadBuffer empty;
   EXPECT_TRUE(empty.empty());

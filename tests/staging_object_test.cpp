@@ -128,6 +128,48 @@ TEST(ObjectStore, ClearResetsEverything) {
   EXPECT_EQ(store.bytes_of(StoredKind::kPrimary), 0u);
 }
 
+TEST(ObjectStore, ChurnKeepsAccountingEqualToARecount) {
+  ObjectStore store(3u << 20);  // full enough that some puts are refused
+  Rng rng(7);
+  constexpr StoredKind kKinds[] = {StoredKind::kPrimary, StoredKind::kReplica,
+                                   StoredKind::kDataChunk, StoredKind::kParity};
+  for (int op = 0; op < 20000; ++op) {
+    const auto d = desc(1 + rng.uniform(3), 0, rng.uniform(500), 900);
+    if (rng.uniform(3) == 0) {
+      store.erase(d);
+      continue;
+    }
+    const std::size_t before = store.total_bytes();
+    const std::size_t count = store.count();
+    const bool present = store.contains(d);
+    const std::size_t size = 1 + rng.uniform(8192);
+    Status st = store.put(DataObject::make_phantom(d, size),
+                          kKinds[rng.uniform(4)]);
+    if (!st.ok()) {
+      // A refused put leaves nothing behind, not even the key.
+      ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+      ASSERT_EQ(store.total_bytes(), before);
+      ASSERT_EQ(store.count(), count);
+      ASSERT_EQ(store.contains(d), present);
+    }
+  }
+  std::size_t total = 0;
+  std::size_t by_kind[4] = {0, 0, 0, 0};
+  std::size_t count = 0;
+  store.for_each([&](const StoredObject& e) {
+    total += e.object.logical_size;
+    by_kind[static_cast<std::size_t>(e.kind)] += e.object.logical_size;
+    ++count;
+    EXPECT_EQ(store.find(e.object.desc), &e);
+  });
+  EXPECT_EQ(count, store.count());
+  EXPECT_EQ(total, store.total_bytes());
+  for (StoredKind k : kKinds) {
+    EXPECT_EQ(by_kind[static_cast<std::size_t>(k)], store.bytes_of(k))
+        << to_string(k);
+  }
+}
+
 TEST(Hyperslab, ExtractAndCopyRegion2d) {
   // Source: 4x4 grid with value = linear index.
   auto src_box = geom::BoundingBox::rect(0, 0, 3, 3);

@@ -232,11 +232,6 @@ class BufferWriter {
     out_->insert(out_->end(), data.begin(), data.end());
   }
 
-  void put_string(const std::string& s) {
-    put<std::uint64_t>(s.size());
-    out_->insert(out_->end(), s.begin(), s.end());
-  }
-
  private:
   Bytes* out_;
 };
@@ -277,14 +272,6 @@ class BufferReader {
     COREC_RETURN_IF_ERROR(check_blob_length(&n, "blob"));
     out->assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
                 data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return Status::Ok();
-  }
-
-  Status get_string(std::string* out) {
-    std::uint64_t n = 0;
-    COREC_RETURN_IF_ERROR(check_blob_length(&n, "string"));
-    out->assign(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return Status::Ok();
   }

@@ -82,9 +82,6 @@ class Registry {
   /// name was never armed.
   bool disarm(const std::string& name);
 
-  /// Disarms everything (test teardown).
-  void disarm_all();
-
   /// Arms points from a config string:
   ///   name=action[:p=P][:hits=N][:skip=N][:arg=N][:seed=N][;name=...]
   /// with action one of off|error|delay|partial|bitflip|crash.

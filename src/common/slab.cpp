@@ -220,28 +220,4 @@ void Block::release() {
   cls_ = -1;
 }
 
-SlabCacheStats cache_stats() {
-  SlabCacheStats s;
-  auto& mag = magazine();
-  auto& pool = global_pool();
-  for (int cls = 0; cls < static_cast<int>(kNumClasses); ++cls) {
-    const std::size_t cap = kClassCapacity(static_cast<std::size_t>(cls));
-    std::size_t blocks = mag.blocks[cls].size();
-    {
-      std::lock_guard<std::mutex> lock(pool.classes[cls].mu);
-      blocks += pool.classes[cls].free.size();
-    }
-    s.cached_blocks += blocks;
-    s.cached_bytes += blocks * cap;
-  }
-  return s;
-}
-
-void trim_thread_cache() {
-  auto& mag = magazine();
-  for (int cls = 0; cls < static_cast<int>(kNumClasses); ++cls) {
-    mag.flush_class(cls);
-  }
-}
-
 }  // namespace corec::slab

@@ -93,16 +93,4 @@ class Block {
 /// Allocates `n` bytes (uninitialized). n == 0 yields an empty Block.
 Block allocate(std::size_t n);
 
-/// Point-in-time pool gauges not covered by payload_metrics():
-/// idle capacity cached in magazines + global free lists.
-struct SlabCacheStats {
-  std::uint64_t cached_bytes = 0;
-  std::uint64_t cached_blocks = 0;
-};
-SlabCacheStats cache_stats();
-
-/// Flushes the calling thread's magazines into the global free lists
-/// (tests use this to make cache_stats() deterministic).
-void trim_thread_cache();
-
 }  // namespace corec::slab

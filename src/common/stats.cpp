@@ -5,8 +5,6 @@
 
 namespace corec {
 
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 void RunningStat::merge(const RunningStat& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {

@@ -29,7 +29,6 @@ class RunningStat {
   double variance() const {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
   }
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
 

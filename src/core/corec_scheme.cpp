@@ -19,6 +19,13 @@ using staging::ObjectLocation;
 using staging::Protection;
 using staging::ShardIndex;
 
+namespace {
+
+/// Cap on background promotions per end-of-step sweep.
+constexpr std::size_t kMaxPromotionsPerStep = 64;
+
+}  // namespace
+
 CorecScheme::CorecScheme(const CorecOptions& options)
     : options_(options), classifier_(options.classifier) {}
 
@@ -372,7 +379,7 @@ void CorecScheme::end_of_step(Version step, SimTime now) {
   std::size_t victim_idx = 0;
   std::size_t promoted = 0;
   for (const auto& cand : encoded) {
-    if (promoted >= options_.max_promotions_per_step) break;
+    if (promoted >= kMaxPromotionsPerStep) break;
     if (!classifier_.is_hot(cand.desc.var, cand.desc.box, next)) break;
     const ObjectLocation* loc = service_->directory().find(cand.desc);
     if (loc == nullptr || loc->protection != Protection::kEncoded) {

@@ -39,8 +39,6 @@ struct CorecOptions {
   ClassifierOptions classifier;
   WorkflowOptions workflow;
   RecoveryOptions recovery;
-  /// Cap on background promotions per end-of-step sweep.
-  std::size_t max_promotions_per_step = 64;
 };
 
 /// Counters exposed for the breakdown/ablation benches.

@@ -38,12 +38,10 @@ ServerId EncodingWorkflow::pick_encoder(
     }
   }
   if (best == kInvalidServer) return holders.front();
-  // Hysteresis: stay on the primary unless the helper is clearly less
-  // loaded.
+  // Stay on the primary unless the helper is strictly less loaded.
   ServerId primary = holders.front();
   if (best != primary && service_->alive(primary)) {
-    SimTime primary_backlog = service_->server(primary).queue.backlog(now);
-    if (primary_backlog - best_backlog <= options_.offload_threshold) {
+    if (service_->server(primary).queue.backlog(now) <= best_backlog) {
       return primary;
     }
     ++offloads_;

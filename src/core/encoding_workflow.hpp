@@ -26,9 +26,6 @@ struct WorkflowOptions {
   /// overlap freely, risking conflicting stripes; modelled as no
   /// token-wait).
   bool conflict_avoid = true;
-  /// Backlog advantage (ns) a helper must have before the primary
-  /// offloads to it — hysteresis against pointless bouncing.
-  SimTime offload_threshold = 0;
 };
 
 /// Per-replication-group token state plus encoder selection.

@@ -15,12 +15,7 @@ void RecoveryManager::on_server_replaced(ServerId s, SimTime now) {
   set.server = s;
   service_->directory().for_each(
       [&](const ObjectDescriptor& desc, const ObjectLocation& loc) {
-        bool involved = loc.primary == s;
-        for (ServerId r : loc.replicas) involved = involved || r == s;
-        for (ServerId member : loc.stripe_servers) {
-          involved = involved || member == s;
-        }
-        if (involved) set.descs.insert(desc);
+        if (loc.places_on(s)) set.descs.insert(desc);
       });
   if (set.descs.empty()) return;
 
@@ -94,8 +89,8 @@ void RecoveryManager::repair(const ObjectDescriptor& desc, ServerId target,
     // later sweep batch (or an on-access hit) retries it.
     return;
   }
-  resilience::rebuild_on(*service_, desc, target, now, &work_);
-  ++repairs_done_;
+  staging::Breakdown work;
+  resilience::rebuild_on(*service_, desc, target, now, &work);
   for (auto& set : pending_) {
     if (set.server == target) set.descs.erase(desc);
   }

@@ -50,10 +50,6 @@ class RecoveryManager {
   /// Objects still pending repair.
   std::size_t backlog() const;
 
-  /// Accumulated repair work (for interference accounting).
-  const staging::Breakdown& repair_work() const { return work_; }
-  std::uint64_t repairs_done() const { return repairs_done_; }
-
  private:
   struct PendingSet {
     ServerId server = kInvalidServer;
@@ -72,8 +68,6 @@ class RecoveryManager {
   staging::StagingService* service_;
   RecoveryOptions options_;
   std::vector<PendingSet> pending_;
-  staging::Breakdown work_;
-  std::uint64_t repairs_done_ = 0;
 };
 
 }  // namespace corec::core

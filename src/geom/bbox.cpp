@@ -93,17 +93,6 @@ bool BoundingBox::intersect(const BoundingBox& other,
   return true;
 }
 
-BoundingBox BoundingBox::hull(const BoundingBox& a, const BoundingBox& b) {
-  assert(a.dims() == b.dims());
-  Point lo, hi;
-  lo.dims = hi.dims = a.dims();
-  for (std::size_t d = 0; d < a.dims(); ++d) {
-    lo[d] = std::min(a.lo_[d], b.lo_[d]);
-    hi[d] = std::max(a.hi_[d], b.hi_[d]);
-  }
-  return BoundingBox(lo, hi);
-}
-
 Coord BoundingBox::chebyshev_gap(const BoundingBox& other) const {
   assert(other.dims() == dims());
   Coord gap = 0;

@@ -66,9 +66,6 @@ class BoundingBox {
   /// Intersection box; empty optional-like: returns false if disjoint.
   bool intersect(const BoundingBox& other, BoundingBox* out) const;
 
-  /// Smallest box covering both inputs.
-  static BoundingBox hull(const BoundingBox& a, const BoundingBox& b);
-
   /// Chebyshev (L-inf) gap between boxes: 0 when they touch/overlap,
   /// otherwise the smallest per-dimension separation max. Used for the
   /// spatial-locality neighbourhood test in the classifier.

@@ -21,15 +21,6 @@ std::uint8_t inv(std::uint8_t a) {
   return detail::tables().inv[a];
 }
 
-std::uint8_t div(std::uint8_t a, std::uint8_t b) {
-  assert(b != 0 && "division by zero");
-  if (a == 0) return 0;
-  const auto& t = detail::tables();
-  unsigned la = t.log[a];
-  unsigned lb = t.log[b];
-  return t.exp[la + kGroupOrder - lb];
-}
-
 std::uint8_t pow(std::uint8_t a, unsigned e) {
   if (e == 0) return 1;
   if (a == 0) return 0;

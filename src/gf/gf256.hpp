@@ -79,9 +79,6 @@ inline std::uint8_t mul(std::uint8_t a, std::uint8_t b) {
 /// Multiplicative inverse. Precondition: a != 0.
 std::uint8_t inv(std::uint8_t a);
 
-/// Division a / b. Precondition: b != 0.
-std::uint8_t div(std::uint8_t a, std::uint8_t b);
-
 /// Exponentiation a^e (e >= 0).
 std::uint8_t pow(std::uint8_t a, unsigned e);
 

@@ -44,17 +44,6 @@ PoolMap PoolMap::initial(std::size_t count, std::size_t nodes_per_cabinet,
   return map;
 }
 
-std::vector<ServerId> PoolMap::placement_targets() const {
-  std::vector<ServerId> out;
-  out.reserve(targets_.size());
-  for (const PoolTarget& t : targets_) {
-    if (t.state == TargetState::kUp || t.state == TargetState::kJoining) {
-      out.push_back(t.id);
-    }
-  }
-  return out;
-}
-
 std::size_t PoolMap::placement_count() const {
   std::size_t n = 0;
   for (const PoolTarget& t : targets_) {

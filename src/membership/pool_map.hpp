@@ -67,10 +67,8 @@ class PoolMap {
   const std::vector<PoolTarget>& targets() const { return targets_; }
   std::size_t size() const { return targets_.size(); }
 
-  /// Targets eligible to hold new placements (UP or JOINING), ascending
-  /// by id.
-  std::vector<ServerId> placement_targets() const;
-  /// Number of placement-eligible targets.
+  /// Number of targets eligible to hold new placements (UP or
+  /// JOINING).
   std::size_t placement_count() const;
 
   /// State of one target; kDown for out-of-range ids.

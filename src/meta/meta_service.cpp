@@ -9,6 +9,19 @@
 
 namespace corec::meta {
 
+namespace {
+
+/// Detection + election delay charged before a new primary serves.
+constexpr SimTime kElectionTimeout = from_micros(250.0);
+/// A log record lost on the wire is re-sent after this timeout.
+constexpr SimTime kRetransmitTimeout = from_micros(200.0);
+/// Retransmission attempts per record per append before the primary
+/// gives up for now (the gap is repaired on the next append or
+/// snapshot, so a follower only stays behind, never diverges).
+constexpr std::size_t kStreamRetries = 8;
+
+}  // namespace
+
 MetaService::MetaService(staging::StagingService* service,
                          MetaOptions options)
     : service_(service), options_(std::move(options)) {
@@ -32,14 +45,6 @@ MetaReplica* MetaService::find_follower(ServerId s) {
     if (r.host() == s) return &r;
   }
   return nullptr;
-}
-
-std::size_t MetaService::num_live_followers() const {
-  std::size_t n = 0;
-  for (const MetaReplica& r : followers_) {
-    if (r.alive()) ++n;
-  }
-  return n;
 }
 
 SimTime MetaService::apply(MetaOpKind kind, const ObjectDescriptor& desc,
@@ -108,7 +113,6 @@ SimTime MetaService::replicate_record(std::uint64_t seq, SimTime t_p,
     ack = std::max(ack, recvs[quorum - 1]);
   }
   stats_.replication_lag.add(static_cast<double>(ack - t_p));
-  last_ack_ = std::max(last_ack_, ack);
 
   if (seq - last_snapshot_seq_ >= options_.snapshot_every) {
     take_snapshot();
@@ -246,7 +250,7 @@ void MetaService::failover(SimTime t) {
       cost.copy_time(restored_bytes) +
       static_cast<SimTime>(replayed_ops) * cost.metadata_op;
   SimTime t_ready = service_->serve_at(
-      new_primary, t + options_.election_timeout, rebuild);
+      new_primary, t + kElectionTimeout, rebuild);
 
   primary_ = new_primary;
   primary_dir_ = std::move(fresh);
@@ -259,7 +263,6 @@ void MetaService::failover(SimTime t) {
   log_.reset(winner_durable);
   last_snapshot_seq_ = winner_durable;
   stats_.failover_time.add(static_cast<double>(t_ready - t));
-  last_ack_ = std::max(last_ack_, t_ready);
 
   // The promoted follower's replication state is now the primary state.
   followers_.erase(
@@ -330,14 +333,14 @@ bool MetaService::stream_to(MetaReplica& r, SimTime from, SimTime now,
     if (rec.seq <= r.streamed_seq()) continue;
     const std::size_t rec_bytes = MetaLog::record_bytes(rec);
     bool delivered = false;
-    for (std::size_t attempt = 0; attempt <= options_.stream_retries;
+    for (std::size_t attempt = 0; attempt <= kStreamRetries;
          ++attempt) {
       if (attempt > 0) ++stats_.records_retransmitted;
       stats_.log_bytes_streamed += rec_bytes;
       if (auto fp = COREC_FAILPOINT("meta.append.drop_ack")) {
         // The record (and its ack) is lost on the wire; the primary
         // notices the missing ack after a timeout and re-sends.
-        send += options_.retransmit_timeout;
+        send += kRetransmitTimeout;
         continue;
       }
       SimTime recv = service_->serve_at(

@@ -50,14 +50,6 @@ struct MetaOptions {
   std::size_t ack_followers = 1;
   /// Log length that triggers a compacting snapshot.
   std::uint64_t snapshot_every = 128;
-  /// Detection + election delay charged before a new primary serves.
-  SimTime election_timeout = from_micros(250.0);
-  /// A log record lost on the wire is re-sent after this timeout.
-  SimTime retransmit_timeout = from_micros(200.0);
-  /// Retransmission attempts per record per append before the primary
-  /// gives up for now (the gap is repaired on the next append or
-  /// snapshot, so a follower only stays behind, never diverges).
-  std::size_t stream_retries = 8;
 };
 
 /// Counters and latency accumulators exposed through common/stats.
@@ -124,15 +116,12 @@ class MetaService {
   Directory& primary_directory() { return primary_dir_; }
   const MetaLog& log() const { return log_; }
   const MetaStats& stats() const { return stats_; }
-  /// Latest mutation acknowledgement time handed out.
-  SimTime last_ack() const { return last_ack_; }
   /// Newest pool map the current primary serves (version 0 = none).
   const Bytes& map_blob() const { return map_blob_; }
   std::uint64_t map_version() const { return map_version_; }
 
  private:
   MetaReplica* find_follower(ServerId s);
-  std::size_t num_live_followers() const;
   /// Elects and installs a new primary after the old one died at `t`.
   void failover(SimTime t);
   /// Reseeds `replica` (empty or stale) from the primary's state.
@@ -159,7 +148,6 @@ class MetaService {
   MetaLog log_;
   std::vector<MetaReplica> followers_;
   std::uint64_t last_snapshot_seq_ = 0;
-  SimTime last_ack_ = 0;
   MetaStats stats_;
   Bytes map_blob_;  // newest pool map on the current primary
   std::uint64_t map_version_ = 0;

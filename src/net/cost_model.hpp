@@ -84,9 +84,6 @@ struct CostModel {
                                 pfs_bandwidth * 1e9);
   }
 
-  /// Titan-like defaults (the values above).
-  static CostModel titan_like() { return {}; }
-
   /// Titan-like defaults with `gf_region_rate` replaced by the encode
   /// rate measured on this machine with the dispatched GF kernels
   /// (measured once, then cached for the process). Opt-in — it trades

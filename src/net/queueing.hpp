@@ -27,25 +27,16 @@ class ServiceQueue {
     return busy_until_;
   }
 
-  /// Reserves server time without an external requester (background
-  /// work such as encoding transitions or recovery sweeps).
-  SimTime occupy(SimTime arrival, SimTime service) {
-    return serve(arrival, service);
-  }
-
   /// Outstanding work at time `now` (0 when idle). This is the workload
   /// level the conflict-avoid encoding workflow compares.
   SimTime backlog(SimTime now) const {
     return std::max<SimTime>(0, busy_until_ - now);
   }
 
-  /// Time when the server next becomes idle.
-  SimTime busy_until() const { return busy_until_; }
-
   /// Total busy time accumulated (utilization numerator).
   SimTime busy_time() const { return busy_accum_; }
 
-  /// Number of requests served (including background occupations).
+  /// Number of requests served.
   std::uint64_t served() const { return served_; }
 
   /// Clears the horizon (server replaced after a failure).

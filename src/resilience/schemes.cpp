@@ -33,9 +33,7 @@ void ReplicationScheme::on_server_replaced(ServerId s, SimTime now) {
   std::vector<ObjectDescriptor> todo;
   service_->directory().for_each(
       [&](const ObjectDescriptor& desc, const ObjectLocation& loc) {
-        bool holder = loc.primary == s;
-        for (ServerId r : loc.replicas) holder = holder || r == s;
-        if (holder) todo.push_back(desc);
+        if (loc.places_on(s)) todo.push_back(desc);
       });
   Breakdown bd;
   for (const auto& desc : todo) {
@@ -70,13 +68,7 @@ void ErasureScheme::on_server_replaced(ServerId s, SimTime now) {
   std::vector<ObjectDescriptor> todo;
   service_->directory().for_each(
       [&](const ObjectDescriptor& desc, const ObjectLocation& loc) {
-        for (ServerId member : loc.stripe_servers) {
-          if (member == s) {
-            todo.push_back(desc);
-            return;
-          }
-        }
-        if (loc.primary == s) todo.push_back(desc);
+        if (loc.places_on(s)) todo.push_back(desc);
       });
   Breakdown bd;
   for (const auto& desc : todo) {
@@ -111,12 +103,7 @@ void RandomHybridScheme::on_server_replaced(ServerId s, SimTime now) {
   std::vector<ObjectDescriptor> todo;
   service_->directory().for_each(
       [&](const ObjectDescriptor& desc, const ObjectLocation& loc) {
-        bool holder = loc.primary == s;
-        for (ServerId r : loc.replicas) holder = holder || r == s;
-        for (ServerId member : loc.stripe_servers) {
-          holder = holder || member == s;
-        }
-        if (holder) todo.push_back(desc);
+        if (loc.places_on(s)) todo.push_back(desc);
       });
   Breakdown bd;
   for (const auto& desc : todo) {

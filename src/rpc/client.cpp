@@ -41,18 +41,6 @@ void Client::reset_channel(Channel& ch) {
   ch.assembler = FrameAssembler(assembler_options());
 }
 
-Client::~Client() {
-  if (pool_) pool_->wait_idle();
-}
-
-ThreadPool* Client::async_pool() {
-  std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<ThreadPool>(
-        std::max<std::size_t>(1, options_.async_threads));
-  });
-  return pool_.get();
-}
-
 Status Client::ensure_connected(Channel& ch) {
   if (ch.fd.valid()) return Status::Ok();
   if (auto hit = COREC_FAILPOINT("rpc.client.connect")) {
@@ -274,33 +262,6 @@ StatusOr<membership::PoolMap> Client::refresh_map() {
       membership::PoolMap::decode(frame.body.data(), frame.body.size()));
   adopt_map_version(map.version());
   return map;
-}
-
-void Client::async_put(ObjectDescriptor desc, PayloadBuffer payload,
-                       StoredKind kind, std::function<void(Status)> done) {
-  async_pool()->submit([this, desc, payload = std::move(payload), kind,
-                        done = std::move(done)]() mutable {
-    Status st = put(desc, std::move(payload), kind);
-    if (done) done(std::move(st));
-  });
-}
-
-void Client::async_get(ObjectDescriptor desc,
-                       std::function<void(StatusOr<GetResult>)> done) {
-  async_pool()->submit([this, desc, done = std::move(done)] {
-    done(get(desc));
-  });
-}
-
-void Client::async_erase(ObjectDescriptor desc,
-                         std::function<void(StatusOr<bool>)> done) {
-  async_pool()->submit([this, desc, done = std::move(done)] {
-    done(erase(desc));
-  });
-}
-
-void Client::drain() {
-  if (pool_) pool_->wait_idle();
 }
 
 ClientStatsSnapshot Client::stats() const {

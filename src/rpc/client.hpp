@@ -1,8 +1,7 @@
 // corec_client — the library applications link to talk to a
-// corec-server. Blocking calls run on the caller's thread over a
-// pooled channel (one outstanding request per channel, round-robin
-// assignment); callback-async calls run the same blocking path on a
-// lazy worker pool and invoke the completion from the worker.
+// corec-server. Every call blocks on the caller's thread over a pooled
+// channel (one outstanding request per channel, round-robin
+// assignment), so any number of threads may share one Client.
 //
 // Fault envelope: every call has a request timeout (poll()-bounded
 // socket ops), and transport-level failures — connect refusal, peer
@@ -15,13 +14,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "membership/pool_map.hpp"
 #include "rpc/frame.hpp"
 #include "rpc/protocol.hpp"
@@ -41,8 +38,6 @@ struct ClientOptions {
   /// First backoff; doubles per retry.
   int retry_backoff_ms = 5;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Workers backing the async_* API (lazily started).
-  std::size_t async_threads = 2;
 };
 
 /// Transport health counters (relaxed).
@@ -67,12 +62,9 @@ struct GetResult {
 class Client {
  public:
   explicit Client(ClientOptions options);
-  ~Client();
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-
-  // ---- blocking API ------------------------------------------------------
 
   Status ping();
 
@@ -109,21 +101,6 @@ class Client {
     return map_version_.load(std::memory_order_acquire);
   }
 
-  // ---- callback-async API ------------------------------------------------
-  // Completions run on a client worker thread; they must not block on
-  // another call into the same Client with every worker busy.
-
-  void async_put(staging::ObjectDescriptor desc, PayloadBuffer payload,
-                 staging::StoredKind kind,
-                 std::function<void(Status)> done);
-  void async_get(staging::ObjectDescriptor desc,
-                 std::function<void(StatusOr<GetResult>)> done);
-  void async_erase(staging::ObjectDescriptor desc,
-                   std::function<void(StatusOr<bool>)> done);
-
-  /// Blocks until every async completion has run.
-  void drain();
-
   ClientStatsSnapshot stats() const;
 
  private:
@@ -151,7 +128,6 @@ class Client {
   /// Drops the socket and receive state together after a transport
   /// fault; the next attempt reconnects with a clean stream.
   void reset_channel(Channel& ch);
-  ThreadPool* async_pool();
   /// Monotonic-max adoption of a map version observed on the wire.
   void adopt_map_version(std::uint64_t version);
 
@@ -159,8 +135,6 @@ class Client {
   std::vector<std::unique_ptr<Channel>> channels_;
   std::atomic<std::uint64_t> next_channel_{0};
   std::atomic<std::uint64_t> next_request_id_{1};
-  std::once_flag pool_once_;
-  std::unique_ptr<ThreadPool> pool_;
   mutable std::atomic<std::uint64_t> requests_{0};
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> reconnects_{0};

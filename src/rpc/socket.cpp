@@ -193,29 +193,6 @@ Status send_all(int fd, std::initializer_list<ByteSpan> parts,
   }
 }
 
-Status recv_exact(int fd, MutableByteSpan out, int deadline_ms) {
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(deadline_ms);
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const ssize_t n = ::recv(fd, out.data() + got, out.size() - got, 0);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) {
-      return Status::Unavailable("recv: connection closed by peer");
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      COREC_RETURN_IF_ERROR(poll_for(fd, POLLIN, deadline, "recv"));
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return Status::Unavailable(errno_string("recv"));
-  }
-  return Status::Ok();
-}
-
 StatusOr<std::size_t> recv_some(int fd, MutableByteSpan out,
                                 Clock::time_point deadline) {
   for (;;) {

@@ -72,10 +72,6 @@ inline Status send_all(int fd, ByteSpan data, int deadline_ms) {
   return send_all(fd, std::initializer_list<ByteSpan>{data}, deadline_ms);
 }
 
-/// Receives exactly `out.size()` bytes, polling for readability until
-/// the deadline. Unavailable on EOF, reset, or timeout.
-Status recv_exact(int fd, MutableByteSpan out, int deadline_ms);
-
 /// One read of up to `out.size()` bytes, polling for readability until
 /// the absolute `deadline`. Returns the (positive) byte count;
 /// Unavailable on EOF, reset, or timeout. Buffered frame receives call

@@ -17,7 +17,6 @@ void Simulation::run() {
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.time;
-    ++processed_;
     ev.fn();
   }
 }
@@ -27,7 +26,6 @@ void Simulation::run_until(SimTime t) {
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.time;
-    ++processed_;
     ev.fn();
   }
   if (now_ < t) now_ = t;

@@ -38,8 +38,6 @@ class Simulation {
   /// Drops all pending events (used to terminate open-ended benches).
   void clear();
 
-  /// Number of events executed so far.
-  std::uint64_t events_processed() const { return processed_; }
   /// Number of events still pending.
   std::size_t pending() const { return queue_.size(); }
 
@@ -59,7 +57,6 @@ class Simulation {
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t processed_ = 0;
 };
 
 }  // namespace corec::sim

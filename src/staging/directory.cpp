@@ -86,11 +86,6 @@ const ObjectLocation* Directory::find(const ObjectDescriptor& desc) const {
   return it == locations_.end() ? nullptr : &it->second.loc;
 }
 
-ObjectLocation* Directory::find_mutable(const ObjectDescriptor& desc) {
-  auto it = locations_.find(desc);
-  return it == locations_.end() ? nullptr : &it->second.loc;
-}
-
 std::vector<ObjectDescriptor> Directory::query(
     VarId var, Version version, const geom::BoundingBox& region) const {
   std::vector<ObjectDescriptor> out;

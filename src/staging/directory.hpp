@@ -6,6 +6,7 @@
 // the state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -48,6 +49,15 @@ struct ObjectLocation {
   // checksum recorded" (phantom payloads): verification is skipped.
   std::uint32_t object_checksum = 0;     // CRC32C of the whole payload
   std::vector<std::uint32_t> shard_checksums;  // kEncoded: n per-shard CRCs
+
+  /// True when this placement puts a copy or a shard on server `s`.
+  bool places_on(ServerId s) const {
+    return primary == s ||
+           std::find(replicas.begin(), replicas.end(), s) !=
+               replicas.end() ||
+           std::find(stripe_servers.begin(), stripe_servers.end(), s) !=
+               stripe_servers.end();
+  }
 };
 
 /// Recorded checksum of stripe shard `i` (0-based over the n = k + m
@@ -83,7 +93,6 @@ class Directory {
 
   /// Looks up the location of exactly `desc`.
   const ObjectLocation* find(const ObjectDescriptor& desc) const;
-  ObjectLocation* find_mutable(const ObjectDescriptor& desc);
 
   /// All descriptors of (var, version) whose boxes intersect `region`.
   std::vector<ObjectDescriptor> query(VarId var, Version version,

@@ -48,8 +48,6 @@ struct ServiceOptions {
   net::CostModel cost;
   /// Global n-D domain staged variables live in (required).
   geom::BoundingBox domain = geom::BoundingBox::cube(0, 0, 0, 255, 255, 255);
-  /// Space-filling curve used for object->server routing.
-  sfc::CurveKind curve = sfc::CurveKind::kHilbert;
   /// Algorithm 1 fitting knobs (element size, target object size).
   geom::FitOptions fit;
   /// Per-server memory capacity in bytes (0 = unlimited).

@@ -7,6 +7,17 @@
 
 namespace corec::workloads {
 
+namespace {
+
+/// Spacing between successive analysis-rank read requests within a
+/// step (analysis ranks process as they go; they do not fire all
+/// requests in one instant).
+constexpr SimTime kReadStagger = from_micros(300);
+/// Salt of the deterministic real-payload contents.
+constexpr std::uint64_t kPayloadSeed = 99;
+
+}  // namespace
+
 double RunMetrics::avg_write_response() const {
   RunningStat pooled;
   for (const auto& s : steps) pooled.merge(s.write_response);
@@ -53,7 +64,7 @@ void WorkloadDriver::fill_payload(VarId var, const geom::BoundingBox& box,
       (static_cast<std::uint64_t>(var) << 40) ^
       (static_cast<std::uint64_t>(step) << 20) ^
       (static_cast<std::uint64_t>(box.lo()[0]) * 2654435761u) ^
-      options_.payload_seed;
+      kPayloadSeed;
   for (std::size_t i = 0; i < payload->size(); ++i) {
     std::uint64_t h = salt + i * 0x9e3779b97f4a7c15ULL;
     h ^= h >> 33;
@@ -128,7 +139,7 @@ RunMetrics WorkloadDriver::run(const WorkloadPlan& plan) {
     for (const auto& r : sp.reads) {
       sim.run_until(write_end +
                     static_cast<SimTime>(read_index++) *
-                        options_.read_stagger);
+                        kReadStagger);
       Bytes* out_ptr = options_.real_payloads ? &out : nullptr;
       staging::OpResult res =
           service_->get(r.var, step, r.box, out_ptr);

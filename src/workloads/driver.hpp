@@ -27,11 +27,6 @@ struct DriverOptions {
   /// phase. Background staging work (encode transitions, lazy
   /// recovery) overlaps it, exactly as on a real system.
   SimTime step_gap = from_seconds(0.02);
-  /// Spacing between successive analysis-rank read requests within a
-  /// step (analysis ranks process as they go; they do not fire all
-  /// requests in one instant).
-  SimTime read_stagger = from_micros(300);
-  std::uint64_t payload_seed = 99;
 };
 
 /// Per-time-step observations.

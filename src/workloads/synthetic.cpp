@@ -8,6 +8,9 @@
 namespace corec::workloads {
 namespace {
 
+/// Fraction of writer blocks updated per step in case 4.
+constexpr double kRandomFraction = 0.25;
+
 geom::BoundingBox domain_of(const SyntheticOptions& o) {
   return geom::BoundingBox::cube(0, 0, 0, o.domain_extent - 1,
                                  o.domain_extent - 1, o.domain_extent - 1);
@@ -89,7 +92,7 @@ WorkloadPlan make_synthetic_case(int case_number,
         std::size_t count = std::max<std::size_t>(
             1, static_cast<std::size_t>(
                    static_cast<double>(blocks.size()) *
-                   o.random_fraction));
+                   kRandomFraction));
         std::vector<std::size_t> idx(blocks.size());
         for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
         std::shuffle(idx.begin(), idx.end(), rng);

@@ -22,8 +22,6 @@ struct SyntheticOptions {
   std::size_t element_size = 1;        // bytes per grid point
   Version time_steps = 20;
   std::uint64_t seed = 7;              // case 4 randomness
-  /// Fraction of writer blocks updated per step in case 4.
-  double random_fraction = 0.25;
   VarId var = 1;
 };
 

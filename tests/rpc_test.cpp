@@ -249,39 +249,55 @@ TEST(RpcLoopback, ConcurrentClientsByteExact) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
-TEST(RpcLoopback, AsyncCallbacksComplete) {
+// More threads than channels share one Client, so each channel serves
+// several threads in turn: one thread drops a GetResult that aliases a
+// channel's read buffer while another thread's call on that channel
+// recycles the buffer. TSan checks that hand-off; the byte checks catch
+// a buffer rewritten under a live view.
+TEST(RpcLoopback, ThreadsShareOneClientByteExact) {
   ServerFixture fx;
-  Client client(fx.client_options());
-  const VarId var = 13;
-  std::atomic<int> put_ok{0}, get_ok{0}, erase_ok{0};
-  constexpr int kOps = 24;
-  for (int i = 0; i < kOps; ++i) {
-    client.async_put(desc_of(var, i),
-                     PayloadBuffer::copy_of(pattern_bytes(
-                         256, static_cast<std::uint8_t>(i))),
-                     StoredKind::kPrimary, [&](Status st) {
-                       if (st.ok()) put_ok.fetch_add(1);
-                     });
-  }
-  client.drain();
-  EXPECT_EQ(put_ok.load(), kOps);
-  for (int i = 0; i < kOps; ++i) {
-    client.async_get(desc_of(var, i), [&, i](StatusOr<GetResult> r) {
-      if (r.ok() &&
-          r->payload == pattern_bytes(256, static_cast<std::uint8_t>(i))) {
-        get_ok.fetch_add(1);
+  ClientOptions options = fx.client_options();
+  options.pool_size = 2;
+  Client client(options);
+  constexpr std::size_t kThreads = 6;
+  constexpr int kOpsPerThread = 40;
+  // Large enough that Client::get keeps the result a zero-copy slice of
+  // the 256 KiB read buffer instead of compacting it.
+  constexpr std::size_t kPayloadBytes = 40u << 10;
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> aliased{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto var = static_cast<VarId>(200 + t);
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const ObjectDescriptor desc = desc_of(var, op % 4);
+        Bytes payload = pattern_bytes(
+            kPayloadBytes + static_cast<std::size_t>(op) * 64,
+            static_cast<std::uint8_t>(t * 31 + op));
+        if (!client.put(desc, PayloadBuffer::copy_of(payload)).ok()) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        {
+          auto got = client.get(desc);
+          if (!got.ok() || !(got->payload == payload)) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          } else if (got->payload.store_size() > got->payload.size()) {
+            aliased.fetch_add(1, std::memory_order_relaxed);
+          }
+        }  // the GetResult drops here, on this thread
+        auto removed = client.erase(desc);
+        if (!removed.ok() || !*removed) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
-  client.drain();
-  EXPECT_EQ(get_ok.load(), kOps);
-  for (int i = 0; i < kOps; ++i) {
-    client.async_erase(desc_of(var, i), [&](StatusOr<bool> r) {
-      if (r.ok() && *r) erase_ok.fetch_add(1);
-    });
-  }
-  client.drain();
-  EXPECT_EQ(erase_ok.load(), kOps);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(aliased.load(), 0u);
+  EXPECT_EQ(fx.server.fabric().total_objects(), 0u);
 }
 
 // ---- zero-copy accounting ------------------------------------------------

@@ -327,15 +327,6 @@ TEST(Wire, ReaderRejectsBlobAboveConfiguredMax) {
   EXPECT_EQ(out.size(), 512u);
 }
 
-TEST(Wire, ReaderRejectsStringAboveConfiguredMax) {
-  Bytes buf;
-  BufferWriter w(&buf);
-  w.put_string(std::string(64, 'x'));
-  BufferReader tight(buf, /*max_blob=*/16);
-  std::string out;
-  EXPECT_FALSE(tight.get_string(&out).ok());
-}
-
 TEST(Wire, ReaderBlobLengthSweepNeverOverallocates) {
   // Fuzz-ish: sweep every u64 length prefix with a handful of trailing
   // bytes. All oversized declarations must fail cleanly; only lengths

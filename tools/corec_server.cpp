@@ -34,14 +34,9 @@ void usage() {
       "  --host ADDR         bind address (default 127.0.0.1)\n"
       "  --port N            TCP port; 0 = kernel-assigned (default 7457)\n"
       "  --servers N         fabric staging servers (default 4)\n"
-      "  --store-shards N    lock stripes per server store (0 = auto)\n"
-      "  --dir-shards N      directory lock stripes (0 = auto)\n"
       "  --capacity BYTES    per-server capacity (0 = unlimited)\n"
       "  --loops N           epoll event-loop shards\n"
       "                      (0 = min(hardware_concurrency, 4))\n"
-      "  --segment BYTES     payload slice cap per write segment\n"
-      "                      (default 1 MiB)\n"
-      "  --max-frame BYTES   frame body ceiling (default 64 MiB)\n"
       "  --failpoints SPEC   arm fault-injection points\n");
 }
 
@@ -69,21 +64,12 @@ int main(int argc, char** argv) {
     } else if (a == "--port") {
       options.port = corec::flag_uint<std::uint16_t>(a, next());
     } else if (a == "--servers") {
-      options.num_servers = corec::flag_uint<std::size_t>(a, next());
-    } else if (a == "--store-shards") {
-      options.fabric.store_shards = corec::flag_uint<std::size_t>(a, next());
-    } else if (a == "--dir-shards") {
-      options.fabric.directory_shards =
-          corec::flag_uint<std::size_t>(a, next());
+      options.num_servers = corec::flag_count(a, next());
     } else if (a == "--capacity") {
       options.fabric.server_capacity =
           corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--loops") {
       options.num_loops = corec::flag_uint<std::size_t>(a, next());
-    } else if (a == "--segment") {
-      options.max_segment_bytes = corec::flag_uint<std::size_t>(a, next());
-    } else if (a == "--max-frame") {
-      options.max_frame_bytes = corec::flag_uint<std::size_t>(a, next());
     } else if (a == "--failpoints") {
       failpoints = next();
     } else {

@@ -4,43 +4,6 @@
 #include <cassert>
 
 namespace corec::sfc {
-namespace {
-
-// Spreads the low 21 bits of v so there are two zero bits between each
-// (standard magic-number bit twiddling for 3-way interleave).
-std::uint64_t spread3(std::uint32_t v) {
-  std::uint64_t x = v & 0x1fffff;
-  x = (x | x << 32) & 0x1f00000000ffffULL;
-  x = (x | x << 16) & 0x1f0000ff0000ffULL;
-  x = (x | x << 8) & 0x100f00f00f00f00fULL;
-  x = (x | x << 4) & 0x10c30c30c30c30c3ULL;
-  x = (x | x << 2) & 0x1249249249249249ULL;
-  return x;
-}
-
-std::uint32_t compact3(std::uint64_t x) {
-  x &= 0x1249249249249249ULL;
-  x = (x ^ (x >> 2)) & 0x10c30c30c30c30c3ULL;
-  x = (x ^ (x >> 4)) & 0x100f00f00f00f00fULL;
-  x = (x ^ (x >> 8)) & 0x1f0000ff0000ffULL;
-  x = (x ^ (x >> 16)) & 0x1f00000000ffffULL;
-  x = (x ^ (x >> 32)) & 0x1fffffULL;
-  return static_cast<std::uint32_t>(x);
-}
-
-}  // namespace
-
-SfcKey morton_encode(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
-  assert(x < (1u << 21) && y < (1u << 21) && z < (1u << 21));
-  return spread3(x) | (spread3(y) << 1) | (spread3(z) << 2);
-}
-
-void morton_decode(SfcKey key, std::uint32_t* x, std::uint32_t* y,
-                   std::uint32_t* z) {
-  *x = compact3(key);
-  *y = compact3(key >> 1);
-  *z = compact3(key >> 2);
-}
 
 // 3-D Hilbert via the transpose method (Skilling, "Programming the
 // Hilbert curve", AIP 2004). Coordinates in/out of "transposed" form.
@@ -127,8 +90,7 @@ void hilbert3_decode(SfcKey key, unsigned order, std::uint32_t* x,
   *z = X[2];
 }
 
-SfcMapper::SfcMapper(const geom::BoundingBox& domain, CurveKind kind)
-    : domain_(domain), kind_(kind) {
+SfcMapper::SfcMapper(const geom::BoundingBox& domain) : domain_(domain) {
   assert(domain.dims() >= 1 && domain.dims() <= 3);
   geom::Coord max_extent = 1;
   for (std::size_t d = 0; d < domain.dims(); ++d) {
@@ -146,9 +108,6 @@ SfcKey SfcMapper::key_of(const geom::Point& p) const {
         std::clamp(p[d], domain_.lo()[d], domain_.hi()[d]) -
         domain_.lo()[d];
     c[d] = static_cast<std::uint32_t>(v);
-  }
-  if (kind_ == CurveKind::kMorton) {
-    return morton_encode(c[0], c[1], c[2]);
   }
   return hilbert3_encode(c[0], c[1], c[2], order_);
 }

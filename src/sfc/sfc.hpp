@@ -1,8 +1,8 @@
 // Space-filling curves mapping n-D grid coordinates to 1-D keys.
 // DataSpaces distributes its shared space across staging servers by SFC
-// key ranges; we provide Morton (Z-order) and Hilbert curves for up to
-// 3 dimensions, which is what the staging directory uses to map object
-// regions to primary servers with good spatial locality.
+// key ranges; we provide a Hilbert curve for up to 3 dimensions, which
+// is what the staging directory uses to map object regions to primary
+// servers with good spatial locality.
 #pragma once
 
 #include <cstdint>
@@ -14,17 +14,8 @@ namespace corec::sfc {
 /// 1-D key on a space-filling curve.
 using SfcKey = std::uint64_t;
 
-/// Interleaves up to 3 coordinates (Morton / Z-order). Each coordinate
-/// must fit in 21 bits (grid extents up to 2^21 per dimension).
-SfcKey morton_encode(std::uint32_t x, std::uint32_t y, std::uint32_t z);
-
-/// Inverse of morton_encode.
-void morton_decode(SfcKey key, std::uint32_t* x, std::uint32_t* y,
-                   std::uint32_t* z);
-
 /// Hilbert curve over a 2^order x 2^order x 2^order cube (3-D, order
-/// <= 20). Better locality than Morton: consecutive keys are always
-/// adjacent cells.
+/// <= 20). Consecutive keys are always adjacent cells.
 SfcKey hilbert3_encode(std::uint32_t x, std::uint32_t y, std::uint32_t z,
                        unsigned order);
 
@@ -32,16 +23,13 @@ SfcKey hilbert3_encode(std::uint32_t x, std::uint32_t y, std::uint32_t z,
 void hilbert3_decode(SfcKey key, unsigned order, std::uint32_t* x,
                      std::uint32_t* y, std::uint32_t* z);
 
-/// Which curve a mapper uses.
-enum class CurveKind { kMorton, kHilbert };
-
-/// Maps object centroids to curve keys within a fixed domain. All
+/// Maps object centroids to Hilbert keys within a fixed domain. All
 /// coordinates are translated to the domain origin first, so negative
 /// domain corners are supported.
 class SfcMapper {
  public:
   /// `domain` must be 1-3 dimensional.
-  SfcMapper(const geom::BoundingBox& domain, CurveKind kind);
+  explicit SfcMapper(const geom::BoundingBox& domain);
 
   /// Key of the centroid of `box` (clamped into the domain).
   SfcKey key_of(const geom::BoundingBox& box) const;
@@ -49,15 +37,12 @@ class SfcMapper {
   /// Key of a single point.
   SfcKey key_of(const geom::Point& p) const;
 
-  CurveKind kind() const { return kind_; }
-
   /// Keys produced by this mapper fit in this many bits (3 * cube
   /// order); used to scale keys into server-range partitions.
   unsigned key_bits() const { return 3 * order_; }
 
  private:
   geom::BoundingBox domain_;
-  CurveKind kind_;
   unsigned order_ = 0;  // Hilbert cube order covering the domain
 };
 

@@ -1,5 +1,5 @@
-// Space-filling curves: encode/decode round trips, bijectivity on small
-// cubes, Hilbert adjacency, and the mapper's routing behaviour.
+// Hilbert curve: encode/decode round trips, bijectivity on small cubes,
+// adjacency, and the mapper's routing behaviour.
 #include "sfc/sfc.hpp"
 
 #include <gtest/gtest.h>
@@ -8,29 +8,6 @@
 
 namespace corec::sfc {
 namespace {
-
-TEST(Morton, RoundTrip) {
-  for (std::uint32_t x : {0u, 1u, 5u, 255u, 1023u, (1u << 21) - 1}) {
-    for (std::uint32_t y : {0u, 7u, 300u}) {
-      for (std::uint32_t z : {0u, 2u, 99u}) {
-        SfcKey key = morton_encode(x, y, z);
-        std::uint32_t rx, ry, rz;
-        morton_decode(key, &rx, &ry, &rz);
-        EXPECT_EQ(rx, x);
-        EXPECT_EQ(ry, y);
-        EXPECT_EQ(rz, z);
-      }
-    }
-  }
-}
-
-TEST(Morton, KnownValues) {
-  EXPECT_EQ(morton_encode(0, 0, 0), 0u);
-  EXPECT_EQ(morton_encode(1, 0, 0), 1u);
-  EXPECT_EQ(morton_encode(0, 1, 0), 2u);
-  EXPECT_EQ(morton_encode(0, 0, 1), 4u);
-  EXPECT_EQ(morton_encode(1, 1, 1), 7u);
-}
 
 TEST(Hilbert3, RoundTrip) {
   for (unsigned order : {1u, 2u, 3u, 5u}) {
@@ -87,7 +64,7 @@ TEST(Hilbert3, ConsecutiveKeysAreAdjacentCells) {
 
 TEST(SfcMapper, CentroidKeyStableAndClamped) {
   auto domain = geom::BoundingBox::cube(0, 0, 0, 63, 63, 63);
-  SfcMapper mapper(domain, CurveKind::kHilbert);
+  SfcMapper mapper(domain);
   EXPECT_EQ(mapper.key_bits(), 18u);  // order 6
   auto box = geom::BoundingBox::cube(8, 8, 8, 15, 15, 15);
   SfcKey k1 = mapper.key_of(box);
@@ -100,7 +77,7 @@ TEST(SfcMapper, CentroidKeyStableAndClamped) {
 
 TEST(SfcMapper, NearbyBoxesGetNearbyKeys) {
   auto domain = geom::BoundingBox::cube(0, 0, 0, 63, 63, 63);
-  SfcMapper mapper(domain, CurveKind::kHilbert);
+  SfcMapper mapper(domain);
   auto a = geom::BoundingBox::cube(0, 0, 0, 7, 7, 7);
   auto b = geom::BoundingBox::cube(0, 0, 8, 7, 7, 15);   // neighbour
   auto far = geom::BoundingBox::cube(56, 56, 56, 63, 63, 63);
@@ -111,19 +88,17 @@ TEST(SfcMapper, NearbyBoxesGetNearbyKeys) {
   EXPECT_LT(dist(ka, kb), dist(ka, kf));
 }
 
-TEST(SfcMapper, MortonAndHilbertBothWithinKeyBits) {
+TEST(SfcMapper, KeysWithinKeyBits) {
   auto domain = geom::BoundingBox::cube(0, 0, 0, 255, 255, 255);
-  for (auto kind : {CurveKind::kMorton, CurveKind::kHilbert}) {
-    SfcMapper mapper(domain, kind);
-    auto box = geom::BoundingBox::cube(200, 100, 50, 210, 110, 60);
-    SfcKey k = mapper.key_of(box);
-    EXPECT_LT(k, SfcKey{1} << mapper.key_bits());
-  }
+  SfcMapper mapper(domain);
+  auto box = geom::BoundingBox::cube(200, 100, 50, 210, 110, 60);
+  SfcKey k = mapper.key_of(box);
+  EXPECT_LT(k, SfcKey{1} << mapper.key_bits());
 }
 
 TEST(SfcMapper, OneDimensionalDomain) {
   auto domain = geom::BoundingBox::line(0, 1023);
-  SfcMapper mapper(domain, CurveKind::kMorton);
+  SfcMapper mapper(domain);
   SfcKey a = mapper.key_of(geom::Point{10});
   SfcKey b = mapper.key_of(geom::Point{900});
   EXPECT_LT(a, b);

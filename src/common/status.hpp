@@ -21,7 +21,6 @@ enum class StatusCode {
   kFailedPrecondition,// operation not legal in current state
   kDataLoss,          // unrecoverable: too many failures in a group
   kInternal,          // bug / broken invariant
-  kNotMyShard,        // stale pool map: refresh and re-route
 };
 
 /// Human-readable name of a StatusCode.
@@ -35,7 +34,6 @@ inline const char* to_string(StatusCode c) {
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
     case StatusCode::kDataLoss: return "DATA_LOSS";
     case StatusCode::kInternal: return "INTERNAL";
-    case StatusCode::kNotMyShard: return "NOT_MY_SHARD";
   }
   return "UNKNOWN";
 }
@@ -71,9 +69,6 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string m) {
     return {StatusCode::kInternal, std::move(m)};
-  }
-  static Status NotMyShard(std::string m) {
-    return {StatusCode::kNotMyShard, std::move(m)};
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

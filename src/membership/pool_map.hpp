@@ -45,8 +45,9 @@ struct PoolTarget {
 };
 
 /// The versioned pool map. Mutations bump the version; reads are cheap.
-/// Not internally synchronized — owners that share a map across threads
-/// wrap it in their own lock (see staging::ThreadFabric).
+/// Not internally synchronized — an owner that mutates a map shared
+/// across threads wraps it in its own lock. staging::ThreadFabric never
+/// mutates its map after construction, so it reads it lock-free.
 class PoolMap {
  public:
   PoolMap() = default;

@@ -72,7 +72,6 @@ Status Client::call_once(Channel& ch, OpCode op, std::uint64_t request_id,
   h.opcode = static_cast<std::uint8_t>(op);
   h.request_id = request_id;
   h.body_len = static_cast<std::uint32_t>(prefix.size() + payload.size());
-  h.map_version = map_version_.load(std::memory_order_acquire);
   Bytes head;
   head.reserve(kFrameHeaderBytes + prefix.size());
   encode_frame_header(h, &head);
@@ -134,14 +133,6 @@ Status Client::call_once(Channel& ch, OpCode op, std::uint64_t request_id,
   return Status::Ok();
 }
 
-void Client::adopt_map_version(std::uint64_t version) {
-  std::uint64_t seen = map_version_.load(std::memory_order_relaxed);
-  while (version > seen &&
-         !map_version_.compare_exchange_weak(seen, version,
-                                             std::memory_order_acq_rel)) {
-  }
-}
-
 StatusOr<Frame> Client::call(OpCode op, const Bytes& prefix,
                              const PayloadBuffer& payload) {
   requests_.fetch_add(1, std::memory_order_relaxed);
@@ -166,23 +157,7 @@ StatusOr<Frame> Client::call(OpCode op, const Bytes& prefix,
     last = call_once(ch, op, id, prefix, payload, &response);
     if (last.ok()) {
       Status app = status_from_wire(response.header.code, "server");
-      if (app.ok()) {
-        // Every response header carries the server's map version;
-        // adopting it keeps this client current for free.
-        adopt_map_version(response.header.map_version);
-        return response;
-      }
-      if (app.code() == StatusCode::kNotMyShard) {
-        // Stale pool map: the redirect body is the server's current
-        // map. Adopt its version and retry under the new routing.
-        stale_redirects_.fetch_add(1, std::memory_order_relaxed);
-        auto map = membership::PoolMap::decode(response.body.data(),
-                                               response.body.size());
-        adopt_map_version(map.ok() ? map->version()
-                                   : response.header.map_version);
-        last = app;
-        continue;
-      }
+      if (app.ok()) return response;
       if (!retryable(app)) return app;
       last = app;  // transient server-side failure: retry
       continue;
@@ -255,22 +230,12 @@ StatusOr<StatResponse> Client::stat() {
   return decode_stat_response(frame.body);
 }
 
-StatusOr<membership::PoolMap> Client::refresh_map() {
-  COREC_ASSIGN_OR_RETURN(Frame frame, call(OpCode::kMapGet, {}, {}));
-  COREC_ASSIGN_OR_RETURN(
-      membership::PoolMap map,
-      membership::PoolMap::decode(frame.body.data(), frame.body.size()));
-  adopt_map_version(map.version());
-  return map;
-}
-
 ClientStatsSnapshot Client::stats() const {
   ClientStatsSnapshot s;
   s.requests = requests_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.reconnects = reconnects_.load(std::memory_order_relaxed);
   s.transport_errors = transport_errors_.load(std::memory_order_relaxed);
-  s.stale_redirects = stale_redirects_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "membership/pool_map.hpp"
 #include "rpc/frame.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/socket.hpp"
@@ -46,7 +45,6 @@ struct ClientStatsSnapshot {
   std::uint64_t retries = 0;
   std::uint64_t reconnects = 0;
   std::uint64_t transport_errors = 0;
-  std::uint64_t stale_redirects = 0;  // kNotMyShard map refreshes
 };
 
 /// Result of a get: the payload is a refcounted view of the bytes the
@@ -90,17 +88,6 @@ class Client {
 
   StatusOr<StatResponse> stat();
 
-  /// Explicitly fetches the server's current pool map and adopts its
-  /// version. Redirect handling does this implicitly — kNotMyShard
-  /// responses carry the map and the call retries under the new
-  /// version — so this is mainly for warm-up and tests.
-  StatusOr<membership::PoolMap> refresh_map();
-
-  /// Newest pool-map version this client has seen (0 = none yet).
-  std::uint64_t map_version() const {
-    return map_version_.load(std::memory_order_acquire);
-  }
-
   ClientStatsSnapshot stats() const;
 
  private:
@@ -128,8 +115,6 @@ class Client {
   /// Drops the socket and receive state together after a transport
   /// fault; the next attempt reconnects with a clean stream.
   void reset_channel(Channel& ch);
-  /// Monotonic-max adoption of a map version observed on the wire.
-  void adopt_map_version(std::uint64_t version);
 
   ClientOptions options_;
   std::vector<std::unique_ptr<Channel>> channels_;
@@ -139,8 +124,6 @@ class Client {
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> reconnects_{0};
   mutable std::atomic<std::uint64_t> transport_errors_{0};
-  mutable std::atomic<std::uint64_t> stale_redirects_{0};
-  std::atomic<std::uint64_t> map_version_{0};
 };
 
 }  // namespace corec::rpc

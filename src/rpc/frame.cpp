@@ -15,13 +15,12 @@ void encode_frame_header(const FrameHeader& header, Bytes* out) {
   w.put<std::uint16_t>(header.code);
   w.put<std::uint64_t>(header.request_id);
   w.put<std::uint32_t>(header.body_len);
-  w.put<std::uint64_t>(header.map_version);
 }
 
 StatusOr<FrameHeader> decode_frame_header(ByteSpan bytes,
                                           std::size_t max_body) {
   if (bytes.size() != kFrameHeaderBytes) {
-    return Status::InvalidArgument("frame header must be 28 bytes");
+    return Status::InvalidArgument("frame header must be 20 bytes");
   }
   BufferReader r(bytes);
   std::uint32_t magic = 0;
@@ -35,7 +34,6 @@ StatusOr<FrameHeader> decode_frame_header(ByteSpan bytes,
   COREC_RETURN_IF_ERROR(r.get(&h.code));
   COREC_RETURN_IF_ERROR(r.get(&h.request_id));
   COREC_RETURN_IF_ERROR(r.get(&h.body_len));
-  COREC_RETURN_IF_ERROR(r.get(&h.map_version));
   if (h.version != kProtocolVersion) {
     return Status::InvalidArgument("protocol version mismatch");
   }

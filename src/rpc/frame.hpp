@@ -1,9 +1,9 @@
 // Length-prefixed binary RPC framing. Every message on a CoREC RPC
-// connection is one frame: a fixed 28-byte header (magic, protocol
-// version, opcode, status code, request id, body length, pool-map
-// version) followed by `body_len` body bytes. The body payload format
-// is the existing staging/wire encoding, so the RPC layer adds framing
-// and routing but no second serialization scheme.
+// connection is one frame: a fixed 20-byte header (magic, protocol
+// version, opcode, status code, request id, body length) followed by
+// `body_len` body bytes. The body payload format is the existing
+// staging/wire encoding, so the RPC layer adds framing and routing but
+// no second serialization scheme.
 //
 // FrameAssembler rebuilds frames incrementally from whatever chunk
 // sizes the socket delivers (partial headers, partial bodies, many
@@ -32,11 +32,12 @@ inline constexpr std::uint32_t kFrameMagic = 0x43455243u;
 
 /// Protocol version byte. Bump on any incompatible frame or body
 /// layout change; peers reject frames from a different version.
-/// v2: trailing u64 pool-map version (elastic membership).
-inline constexpr std::uint8_t kProtocolVersion = 2;
+/// v3: the v2 trailing u64 pool-map version is gone (the server places
+/// every op itself, so clients carry no map).
+inline constexpr std::uint8_t kProtocolVersion = 3;
 
 /// Fixed encoded size of a FrameHeader.
-inline constexpr std::size_t kFrameHeaderBytes = 28;
+inline constexpr std::size_t kFrameHeaderBytes = 20;
 
 /// Default ceiling on declared body length. Frames claiming more are
 /// rejected before any allocation, so a corrupt or hostile length
@@ -62,14 +63,9 @@ struct FrameHeader {
   std::uint16_t code = 0;
   std::uint64_t request_id = 0;
   std::uint32_t body_len = 0;
-  // Pool-map version: on requests, the newest map the client has seen
-  // (0 = none / map-oblivious); on responses, the server's current map
-  // version. A server seeing a stale nonzero request version answers
-  // kNotMyShard with its serialized map as the body.
-  std::uint64_t map_version = 0;
 };
 
-/// Appends the 28-byte wire rendering of `header` to `out`.
+/// Appends the 20-byte wire rendering of `header` to `out`.
 void encode_frame_header(const FrameHeader& header, Bytes* out);
 
 /// Decodes a header from exactly kFrameHeaderBytes. Rejects bad magic,

@@ -17,13 +17,12 @@ const char* to_string(OpCode op) {
     case OpCode::kQuery: return "query";
     case OpCode::kErase: return "erase";
     case OpCode::kStat: return "stat";
-    case OpCode::kMapGet: return "map_get";
   }
   return "?";
 }
 
 bool valid_opcode(std::uint8_t raw) {
-  return raw <= static_cast<std::uint8_t>(OpCode::kMapGet);
+  return raw <= static_cast<std::uint8_t>(OpCode::kStat);
 }
 
 std::uint16_t status_to_wire(const Status& status) {
@@ -32,7 +31,7 @@ std::uint16_t status_to_wire(const Status& status) {
 
 Status status_from_wire(std::uint16_t code, const char* context) {
   if (code == 0) return Status::Ok();
-  if (code > static_cast<std::uint16_t>(StatusCode::kNotMyShard)) {
+  if (code > static_cast<std::uint16_t>(StatusCode::kInternal)) {
     return Status::Internal(std::string("unknown wire status code from ") +
                             context);
   }

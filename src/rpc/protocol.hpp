@@ -29,9 +29,8 @@ enum class OpCode : std::uint8_t {
   kPut = 1,    // store one object
   kGet = 2,    // fetch one object by descriptor
   kQuery = 3,  // directory query (exact or latest-version)
-  kErase = 4,   // remove one object
-  kStat = 5,    // server + fabric counters
-  kMapGet = 6,  // fetch the server's current pool map
+  kErase = 4,  // remove one object
+  kStat = 5,   // server + fabric counters
 };
 
 const char* to_string(OpCode op);

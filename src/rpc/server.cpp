@@ -60,6 +60,9 @@ Status Server::start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server already running");
   }
+  if (options_.max_segment_bytes == 0) {
+    return Status::InvalidArgument("max_segment_bytes must be positive");
+  }
   for (const auto& shard : loops_) {
     if (!shard->loop->valid()) {
       return Status::Internal("event loop initialization failed");
@@ -353,34 +356,9 @@ void Server::handle_frame(const ConnPtr& conn, Frame frame) {
   enqueue_response(conn, execute(frame.header, frame.body));
 }
 
-bool Server::stale_map(const FrameHeader& header) const {
-  if (COREC_FAILPOINT("member.map.stale_client")) return true;
-  // Map-oblivious clients (version 0) are served wherever they land;
-  // a client that HAS seen a map must be on the current one, or its
-  // routing may point at drained/joined targets.
-  return header.map_version != 0 &&
-         header.map_version != fabric_.map_version();
-}
-
-OutFrame Server::stale_map_response(const FrameHeader& req) {
-  OutFrame out;
-  out.head = make_head(
-      req, Status::NotMyShard("stale pool map; adopt the attached map"),
-      fabric_.map_blob(), 0);
-  return out;
-}
-
 OutFrame Server::execute(const FrameHeader& header,
                                  const PayloadBuffer& body) {
-  const auto op = static_cast<OpCode>(header.opcode);
-  // Placement-routed data ops reject stale maps up front so a client
-  // holding version v after a drain to v+1 refreshes instead of
-  // reading the wrong server.
-  if ((op == OpCode::kPut || op == OpCode::kGet || op == OpCode::kErase) &&
-      stale_map(header)) {
-    return stale_map_response(header);
-  }
-  switch (op) {
+  switch (static_cast<OpCode>(header.opcode)) {
     case OpCode::kPing: {
       OutFrame out;
       out.head = make_head(header, Status::Ok(), {}, 0);
@@ -468,11 +446,6 @@ OutFrame Server::execute(const FrameHeader& header,
                            0);
       return out;
     }
-    case OpCode::kMapGet: {
-      OutFrame out;
-      out.head = make_head(header, Status::Ok(), fabric_.map_blob(), 0);
-      return out;
-    }
   }
   return error_response(header, Status::InvalidArgument("unknown opcode"));
 }
@@ -493,7 +466,6 @@ Bytes Server::make_head(const FrameHeader& req_header, const Status& status,
   h.request_id = req_header.request_id;
   h.body_len =
       static_cast<std::uint32_t>(body_prefix.size() + payload_bytes);
-  h.map_version = fabric_.map_version();
   Bytes head;
   head.reserve(kFrameHeaderBytes + body_prefix.size());
   encode_frame_header(h, &head);

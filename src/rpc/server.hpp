@@ -4,6 +4,9 @@
 // the connection's state machine exclusively — frame reassembly in,
 // coalesced write queue out — with no cross-loop locking. Every
 // operation executes inline on the connection's owning loop thread.
+// The fabric's server set is fixed at construction and the server
+// places every op itself, so clients hold no placement state and
+// frames carry no pool-map version.
 //
 // Read path: each connection recv()s into a pooled read buffer
 // (kDefaultReadChunkBytes), so a pipelined burst of small frames costs
@@ -132,7 +135,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the event-loop threads.
+  /// Binds, listens, and spawns the event-loop threads. A zero
+  /// max_segment_bytes (a server that could never write a response) is
+  /// refused with InvalidArgument before anything binds.
   Status start();
 
   /// Stops accepting, closes every connection, joins the loop threads.
@@ -148,9 +153,8 @@ class Server {
   /// Resolved loop-shard count.
   std::size_t num_loops() const { return loops_.size(); }
 
-  /// The data plane this server fronts. The in-process view stays
-  /// fully usable — tests compare RPC results against direct calls.
-  staging::ThreadFabric& fabric() { return fabric_; }
+  /// Read-only view of the data plane this server fronts — tests
+  /// compare RPC results against direct calls.
   const staging::ThreadFabric& fabric() const { return fabric_; }
 
   ServerStatsSnapshot stats() const;
@@ -206,7 +210,8 @@ class Server {
   void handle_frame(const ConnPtr& conn, Frame frame);
   /// Executes one op against the fabric; returns the response.
   OutFrame execute(const FrameHeader& header, const PayloadBuffer& body);
-  OutFrame error_response(const FrameHeader& req, const Status& status);
+  static OutFrame error_response(const FrameHeader& req,
+                                 const Status& status);
   void enqueue_response(const ConnPtr& conn, OutFrame frame);
   void flush_writes(const ConnPtr& conn);
   void update_read_interest(const ConnPtr& conn);
@@ -215,15 +220,9 @@ class Server {
     return *loops_[conn->loop]->loop;
   }
   LoopShard& shard_of(const ConnPtr& conn) { return *loops_[conn->loop]; }
-  /// Non-static: stamps the fabric's current pool-map version into
-  /// every response header so clients converge without extra rounds.
-  Bytes make_head(const FrameHeader& req_header, const Status& status,
-                  const Bytes& body_prefix, std::size_t payload_bytes);
-  /// True when a data op carries a nonzero map version older than the
-  /// fabric's published one (or member.map.stale_client forces it).
-  bool stale_map(const FrameHeader& header) const;
-  /// kNotMyShard response whose body is the serialized current map.
-  OutFrame stale_map_response(const FrameHeader& req);
+  static Bytes make_head(const FrameHeader& req_header,
+                         const Status& status, const Bytes& body_prefix,
+                         std::size_t payload_bytes);
 
   ServerOptions options_;
   staging::ThreadFabric fabric_;

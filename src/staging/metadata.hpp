@@ -74,7 +74,7 @@ class MetadataPlane {
 
   // ---- membership map -----------------------------------------------------
   /// Replicates a serialized pool map (see membership::PoolMap) through
-  /// the plane so followers and clients converge on it. The local plane
+  /// the plane so its followers converge on it. The local plane
   /// just retains the newest blob; the replicated plane appends a
   /// kMapTransition record to the op-log and streams it. Returns the
   /// replication completion time.

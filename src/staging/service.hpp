@@ -140,8 +140,8 @@ class StagingService {
   /// no-op transitions.
   Status set_target_state(ServerId s, membership::TargetState state);
 
-  /// Pushes the current map through the metadata plane's op-log so
-  /// followers (and clients, via the RPC redirect path) converge on it.
+  /// Pushes the current map through the metadata plane's op-log so the
+  /// metadata followers converge on it.
   /// Returns the replication completion time.
   SimTime replicate_map(SimTime now);
 

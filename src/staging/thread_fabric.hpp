@@ -4,9 +4,9 @@
 // per staging server plus one entity-sharded metadata directory.
 // Clients call put/get/erase from their own threads; lock striping
 // keeps unrelated keys contention-free and reads hand back refcounted
-// payload views (zero-copy). Routed ops place each object by rank-0
-// HRW over the fabric's versioned pool map, so join_server() and
-// drain_server() move only the entries whose home changed.
+// payload views (zero-copy). The server set is fixed at construction;
+// routed ops place each object by rank-0 HRW over it. Served membership
+// changes belong to membership::Manager, not to this fabric.
 //
 // Contention health is observable: shard_metrics() aggregates lock
 // acquisitions, contended acquisitions and max shard occupancy across
@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "common/buffer.hpp"
@@ -62,8 +61,8 @@ class ThreadFabric {
 
   // ---- routed conveniences ----------------------------------------------
 
-  /// Home of `desc`'s base entity: rank-0 HRW over the published pool
-  /// map (the fabric has no SFC; simulation-faithful routing stays with
+  /// Home of `desc`'s base entity: rank-0 HRW over the fixed pool map
+  /// (the fabric has no SFC; simulation-faithful routing stays with
   /// StagingService).
   ServerId route(const ObjectDescriptor& desc) const;
 
@@ -72,47 +71,12 @@ class ThreadFabric {
   StatusOr<StoredObject> get(const ObjectDescriptor& desc) const;
   bool erase(const ObjectDescriptor& desc);
 
-  // ---- elastic membership ------------------------------------------------
-  //
-  // A transition holds the membership lock exclusively while it moves
-  // every entry whose home changed and publishes the new map. Routed
-  // ops wait for it, so each one sees either the old placement with
-  // every entry at its old home or the new placement with every entry
-  // moved: a routed get never misses and no write lands on a retired
-  // home.
-
-  /// Newest published map version (lock-free; the RPC server's
-  /// staleness fast path).
-  std::uint64_t map_version() const {
-    return map_version_.load(std::memory_order_acquire);
-  }
-
-  /// Snapshot of the published map.
-  membership::PoolMap pool_map_copy() const;
-
-  /// Serialized form of the published map (for NOT_MY_SHARD redirect
-  /// bodies and MAP_GET responses).
-  Bytes map_blob() const;
-
-  /// Grows the fabric by one server and rebalances the minimal set of
-  /// entries onto it (JOINING -> migrate -> UP, two map versions).
-  /// Returns the new server id.
-  ServerId join_server();
-
-  /// Migrates every entry off `target` and retires it (DRAIN ->
-  /// migrate -> DOWN, two map versions). The store object stays in
-  /// place (ids are dense and stable) but ends empty and unroutable.
-  Status drain_server(ServerId target);
-
   // ---- structure access ----------------------------------------------------
 
-  std::size_t num_servers() const {
-    std::shared_lock<std::shared_mutex> lk(membership_mu_);
-    return stores_.size();
-  }
-  ShardedObjectStore& store(ServerId server) { return *store_ptr(server); }
+  std::size_t num_servers() const { return stores_.size(); }
+  ShardedObjectStore& store(ServerId server) { return *stores_[server]; }
   const ShardedObjectStore& store(ServerId server) const {
-    return *store_ptr(server);
+    return *stores_[server];
   }
   ShardedDirectory& directory() { return directory_; }
   const ShardedDirectory& directory() const { return directory_; }
@@ -127,19 +91,6 @@ class ThreadFabric {
   ShardMetricsSnapshot shard_metrics() const;
 
  private:
-  /// Store pointer lookup under the membership lock. The pointee is
-  /// stable across stores_ growth (unique_ptr targets don't move), so
-  /// callers may keep using the raw pointer after the lock drops.
-  ShardedObjectStore* store_ptr(ServerId server) const {
-    std::shared_lock<std::shared_mutex> lk(membership_mu_);
-    return stores_[server].get();
-  }
-  /// Routed home of `desc`'s base entity under `map`.
-  ServerId home_under(const membership::PoolMap& map,
-                      const ObjectDescriptor& desc) const;
-  /// Moves every entry whose home under `map` differs from where it
-  /// sits to that home. Caller holds membership_mu_ exclusively.
-  void rehome(const membership::PoolMap& map);
   /// The counted store ops behind both the addressed and routed forms.
   Status put_to(ShardedObjectStore& store, DataObject object,
                 StoredKind kind);
@@ -149,12 +100,9 @@ class ThreadFabric {
 
   std::vector<std::unique_ptr<ShardedObjectStore>> stores_;
   ShardedDirectory directory_;
-  FabricOptions options_;
-  /// Guards stores_ growth and map_ publication; routed ops hold it
-  /// shared across the ranking lookup and the store op.
-  mutable std::shared_mutex membership_mu_;
-  membership::PoolMap map_;
-  std::atomic<std::uint64_t> map_version_{0};
+  /// Flat layout (every target on its own node of cabinet 0), all UP;
+  /// never changes after construction.
+  const membership::PoolMap map_;
   mutable std::atomic<std::uint64_t> puts_{0};
   mutable std::atomic<std::uint64_t> gets_{0};
   mutable std::atomic<std::uint64_t> erases_{0};

@@ -1,7 +1,8 @@
 // End-to-end integrity: CRC32C known answers and kernel parity (the
 // hardware kernel against the portable one), the erasure/corruption
-// property suite (every erasure combination within tolerance round
-// trips; checksum-flagged shards repair exactly like missing ones), the
+// property suite over the production stripe builder (every erasure
+// combination within tolerance round trips; checksum-flagged shards
+// repair exactly like missing ones), the
 // scrubber detect-and-repair loop, and the degenerate-size regressions
 // (zero-length and single-byte payloads, empty coding regions).
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@
 #include "common/checksum.hpp"
 #include "common/checksum_kernels.hpp"
 #include "common/rng.hpp"
-#include "erasure/stripe.hpp"
+#include "resilience/primitives.hpp"
 #include "resilience/scrubber.hpp"
 #include "staging/object_store.hpp"
 #include "staging/service.hpp"
@@ -24,13 +25,7 @@ namespace corec {
 namespace {
 
 using detail::Crc32cKernel;
-using erasure::build_stripe;
-using erasure::extract_payload;
 using erasure::make_reed_solomon;
-using erasure::repair_stripe;
-using erasure::repair_stripe_verified;
-using erasure::Stripe;
-using erasure::verify_stripe;
 using workloads::make_scheme;
 using workloads::Mechanism;
 
@@ -235,6 +230,64 @@ TEST(Crc32c, DispatchPicksHardwareKernelWhenAvailable) {
 
 // ---- property: all erasure combinations within tolerance -----------------
 
+// One object's stripe as its holders store it: the shard bytes that
+// resilience::make_stripe_payload (the builder place_encoded uses)
+// produces, copied out so a test can lose or corrupt them, plus each
+// shard's recorded CRC32C.
+struct StoredStripe {
+  std::vector<Bytes> blocks;  // k data shards, then m parity shards
+  std::vector<std::uint32_t> crcs;
+  std::size_t logical_size = 0;
+};
+
+StoredStripe stripe_of(const erasure::Codec& codec, const Bytes& payload) {
+  const staging::ObjectDescriptor desc{
+      1, 0, geom::BoundingBox::line(0, 0), staging::kWholeObject};
+  auto sp = resilience::make_stripe_payload(
+      codec, staging::DataObject::real(desc, Bytes(payload)), codec.k(),
+      codec.m());
+  StoredStripe out;
+  out.logical_size = payload.size();
+  for (const auto& shard : sp.shards) {
+    const ByteSpan bytes = shard.data.span();
+    out.blocks.emplace_back(bytes.begin(), bytes.end());
+    out.crcs.push_back(shard.checksum);
+  }
+  return out;
+}
+
+// Shards whose bytes no longer match their recorded CRC32C.
+std::vector<std::size_t> corrupt_shards(const StoredStripe& s) {
+  std::vector<std::size_t> bad;
+  for (std::size_t i = 0; i < s.blocks.size(); ++i) {
+    if (crc32c(s.blocks[i].data(), s.blocks[i].size()) != s.crcs[i]) {
+      bad.push_back(i);
+    }
+  }
+  return bad;
+}
+
+// Decodes around `erased` plus every CRC-failing shard (corruption and
+// loss are one event, as in StagingService::read_degraded), then
+// reassembles the payload from the k data shards.
+StatusOr<Bytes> repair_and_read(const erasure::Codec& codec, StoredStripe s,
+                                std::vector<std::size_t> erased) {
+  for (std::size_t i : corrupt_shards(s)) {
+    if (std::find(erased.begin(), erased.end(), i) == erased.end()) {
+      erased.push_back(i);
+    }
+  }
+  std::sort(erased.begin(), erased.end());
+  std::vector<MutableByteSpan> spans(s.blocks.begin(), s.blocks.end());
+  COREC_RETURN_IF_ERROR(codec.decode(spans, erased));
+  Bytes out;
+  for (std::size_t i = 0; i < codec.k(); ++i) {
+    out.insert(out.end(), s.blocks[i].begin(), s.blocks[i].end());
+  }
+  out.resize(s.logical_size);
+  return out;
+}
+
 TEST(IntegrityProperty, EveryErasureComboWithinToleranceRoundTrips) {
   struct Config {
     std::size_t k, m;
@@ -244,21 +297,16 @@ TEST(IntegrityProperty, EveryErasureComboWithinToleranceRoundTrips) {
     auto codec_or = make_reed_solomon(c.k, c.m);
     ASSERT_TRUE(codec_or.ok());
     const auto& codec = *codec_or.value();
-    std::vector<Bytes> payloads;
-    std::vector<ByteSpan> spans;
-    for (std::size_t i = 0; i < c.k; ++i) {
-      payloads.push_back(
-          pattern(40 + 13 * i, static_cast<std::uint8_t>(i + 1)));
-    }
-    for (const auto& p : payloads) spans.emplace_back(p);
-    auto stripe_or = build_stripe(codec, spans);
-    ASSERT_TRUE(stripe_or.ok());
-    const Stripe& base = stripe_or.value();
+    // Not a multiple of k, so the last data shard carries padding.
+    const Bytes payload =
+        pattern(40 * c.k + 13, static_cast<std::uint8_t>(c.k + c.m));
+    const StoredStripe base = stripe_of(codec, payload);
     const std::size_t n = c.k + c.m;
+    ASSERT_EQ(base.blocks.size(), n);
 
     for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
       if (popcount(mask) > c.m) continue;
-      Stripe s = base;
+      StoredStripe s = base;
       std::vector<std::size_t> erased;
       for (std::size_t i = 0; i < n; ++i) {
         if ((mask >> i) & 1u) {
@@ -266,15 +314,11 @@ TEST(IntegrityProperty, EveryErasureComboWithinToleranceRoundTrips) {
           std::fill(s.blocks[i].begin(), s.blocks[i].end(), 0xAA);
         }
       }
-      ASSERT_TRUE(repair_stripe(codec, &s, erased).ok())
+      auto got = repair_and_read(codec, s, erased);
+      ASSERT_TRUE(got.ok()) << "k=" << c.k << " m=" << c.m
+                            << " mask=" << mask;
+      EXPECT_EQ(got.value(), payload)
           << "k=" << c.k << " m=" << c.m << " mask=" << mask;
-      for (std::size_t i = 0; i < c.k; ++i) {
-        auto p = extract_payload(s, i);
-        ASSERT_TRUE(p.ok());
-        EXPECT_EQ(p.value(), payloads[i])
-            << "k=" << c.k << " m=" << c.m << " mask=" << mask
-            << " payload " << i;
-      }
     }
   }
 }
@@ -283,54 +327,44 @@ TEST(IntegrityProperty, ChecksumFlaggedShardsRepairLikeMissing) {
   auto codec_or = make_reed_solomon(4, 2);
   ASSERT_TRUE(codec_or.ok());
   const auto& codec = *codec_or.value();
-  std::vector<Bytes> payloads;
-  std::vector<ByteSpan> spans;
-  for (std::size_t i = 0; i < 4; ++i) {
-    payloads.push_back(pattern(70 + i, static_cast<std::uint8_t>(i + 9)));
-  }
-  for (const auto& p : payloads) spans.emplace_back(p);
-  auto base_or = build_stripe(codec, spans);
-  ASSERT_TRUE(base_or.ok());
-  const Stripe& base = base_or.value();
-  const std::size_t n = base.n();
+  const Bytes payload = pattern(4 * 70 + 3, 9);
+  const StoredStripe base = stripe_of(codec, payload);
+  const std::size_t n = base.blocks.size();
+  EXPECT_TRUE(corrupt_shards(base).empty());
 
-  // Silently corrupt every pair of blocks: verify flags exactly those
-  // two, and verified repair restores every payload.
+  // Silently corrupt every pair of shards: the CRCs flag exactly those
+  // two, and decoding around them restores the payload.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      Stripe s = base;
+      StoredStripe s = base;
       s.blocks[i][3] ^= 0xFF;
       s.blocks[j][7] ^= 0x01;
-      EXPECT_EQ(verify_stripe(s), (std::vector<std::size_t>{i, j}));
-      ASSERT_TRUE(repair_stripe_verified(codec, &s, {}).ok())
-          << "corrupt pair " << i << "," << j;
-      EXPECT_TRUE(verify_stripe(s).empty());
-      for (std::size_t p = 0; p < 4; ++p) {
-        auto got = extract_payload(s, p);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(got.value(), payloads[p]);
-      }
+      EXPECT_EQ(corrupt_shards(s), (std::vector<std::size_t>{i, j}));
+      auto got = repair_and_read(codec, s, {});
+      ASSERT_TRUE(got.ok()) << "corrupt pair " << i << "," << j;
+      EXPECT_EQ(got.value(), payload);
     }
   }
 
   // Mixed: one silent corruption plus one explicit erasure.
   {
-    Stripe s = base;
+    StoredStripe s = base;
     s.blocks[1][0] ^= 0x40;
     std::fill(s.blocks[4].begin(), s.blocks[4].end(), 0);
-    ASSERT_TRUE(repair_stripe_verified(codec, &s, {4}).ok());
-    for (std::size_t p = 0; p < 4; ++p) {
-      EXPECT_EQ(extract_payload(s, p).value(), payloads[p]);
-    }
+    auto got = repair_and_read(codec, s, {4});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), payload);
   }
 
   // Beyond tolerance: two corruptions plus an erasure is three losses
   // against m=2 — the repair must refuse, exactly like three erasures.
   {
-    Stripe s = base;
+    StoredStripe s = base;
     s.blocks[0][1] ^= 0x10;
     s.blocks[2][2] ^= 0x20;
-    EXPECT_FALSE(repair_stripe_verified(codec, &s, {5}).ok());
+    auto got = repair_and_read(codec, s, {5});
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
   }
 }
 
@@ -443,20 +477,30 @@ TEST(IntegrityEdge, ZeroLengthPayloadsThroughStripe) {
   auto codec_or = make_reed_solomon(3, 2);
   ASSERT_TRUE(codec_or.ok());
   const auto& codec = *codec_or.value();
-  Bytes empty;
-  Bytes one{0x5A};
-  auto stripe_or =
-      build_stripe(codec, {ByteSpan(empty), ByteSpan(one), ByteSpan(empty)});
-  ASSERT_TRUE(stripe_or.ok());
-  Stripe s = std::move(stripe_or).value();
-  EXPECT_EQ(s.block_size, 1u);
-  EXPECT_TRUE(verify_stripe(s).empty());
 
-  std::fill(s.blocks[1].begin(), s.blocks[1].end(), 0);
-  ASSERT_TRUE(repair_stripe_verified(codec, &s, {1}).ok());
-  EXPECT_TRUE(extract_payload(s, 0).value().empty());
-  EXPECT_EQ(extract_payload(s, 1).value(), one);
-  EXPECT_TRUE(extract_payload(s, 2).value().empty());
+  // One byte over k=3: shards 1 and 2 hold nothing but padding.
+  const Bytes one{0x5A};
+  const StoredStripe s = stripe_of(codec, one);
+  ASSERT_EQ(s.blocks.size(), 5u);
+  EXPECT_EQ(s.blocks[0].size(), 1u);
+  EXPECT_EQ(s.blocks[1], Bytes{0x00});
+  EXPECT_EQ(s.blocks[2], Bytes{0x00});
+  EXPECT_TRUE(corrupt_shards(s).empty());
+  StoredStripe lost = s;
+  lost.blocks[0][0] = 0;
+  auto got = repair_and_read(codec, lost, {0});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), one);
+
+  // A zero-length object: every shard is empty, and losing one still
+  // reads back the empty payload.
+  const StoredStripe empty = stripe_of(codec, Bytes{});
+  ASSERT_EQ(empty.blocks.size(), 5u);
+  for (const Bytes& block : empty.blocks) EXPECT_TRUE(block.empty());
+  EXPECT_TRUE(corrupt_shards(empty).empty());
+  auto none = repair_and_read(codec, empty, {1});
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none.value().empty());
 }
 
 TEST(IntegrityEdge, SingleByteObjectThroughServiceAndScrub) {

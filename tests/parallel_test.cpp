@@ -10,6 +10,8 @@
 
 #include "common/rng.hpp"
 #include "common/sharding.hpp"
+#include "membership/placement.hpp"
+#include "membership/pool_map.hpp"
 #include "staging/sharded_store.hpp"
 #include "staging/thread_fabric.hpp"
 
@@ -408,40 +410,40 @@ TEST(ThreadFabric, ReplayMatchesSingleThreadedPath) {
   EXPECT_GT(global.lock_acquisitions, 0u);
 }
 
-TEST(ThreadFabric, JoinAndDrainKeepEveryObjectRoutable) {
-  // A default-constructed fabric routes by HRW over its pool map, so a
-  // join or drain migrates exactly the entries whose home changed and
-  // every routed get still finds its object, byte-exact.
-  staging::ThreadFabric fabric(4);
-  constexpr int kObjects = 1000;
-  for (int i = 0; i < kObjects; ++i) {
+TEST(ThreadFabric, RoutesByRankZeroHrwOverFlatMap) {
+  // The fabric's server set is fixed at construction. Every descriptor
+  // (and every shard of it) must keep the rank-0 HRW home over the flat
+  // n-target map, so any placement drift fails here; the routed put
+  // must land on that home.
+  constexpr int kObjects = 12000;
+  for (const std::size_t n : {1u, 4u, 8u}) {
+    staging::ThreadFabric fabric(n);
+    const membership::PoolMap map = membership::PoolMap::initial(n, n, 1);
+    std::vector<std::size_t> homes(n, 0);
+    for (int i = 0; i < kObjects; ++i) {
+      const staging::ObjectDescriptor desc =
+          stress_desc(i).shard_of(static_cast<staging::ShardIndex>(i % 3));
+      const ServerId want = membership::place_one(
+          map, membership::mix64(staging::DescriptorHash{}(desc.base())));
+      ASSERT_EQ(fabric.route(desc), want) << "n " << n << " key " << i;
+      ++homes[want];
+    }
+    // HRW spreads the keys: no server is empty or takes twice its share.
+    for (std::size_t s = 0; s < n; ++s) {
+      EXPECT_GT(homes[s], 0u) << "n " << n << " server " << s;
+      EXPECT_LT(homes[s], 2 * kObjects / n) << "n " << n << " server " << s;
+    }
+    ServerId home = kInvalidServer;
     ASSERT_TRUE(fabric
                     .put(staging::DataObject::real(
-                             stress_desc(i),
-                             PayloadBuffer::wrap(stress_payload(i, 64))),
-                         staging::StoredKind::kPrimary)
+                             stress_desc(7),
+                             PayloadBuffer::wrap(stress_payload(7, 64))),
+                         staging::StoredKind::kPrimary, &home)
                     .ok());
+    EXPECT_EQ(home, fabric.route(stress_desc(7)));
+    EXPECT_EQ(fabric.store(home).count(), 1u);
+    EXPECT_EQ(fabric.total_objects(), 1u);
   }
-  EXPECT_EQ(fabric.stats().puts, static_cast<std::uint64_t>(kObjects));
-  auto misses = [&] {
-    int missed = 0;
-    for (int i = 0; i < kObjects; ++i) {
-      auto got = fabric.get(stress_desc(i));
-      if (!got.ok() || !(got.value().object.data == stress_payload(i, 64)))
-        ++missed;
-    }
-    return missed;
-  };
-
-  const ServerId joined = fabric.join_server();
-  EXPECT_EQ(joined, 4u);
-  EXPECT_GT(fabric.store(joined).count(), 0u);
-  EXPECT_EQ(misses(), 0) << "after join";
-
-  ASSERT_TRUE(fabric.drain_server(1).ok());
-  EXPECT_EQ(fabric.store(1).count(), 0u);
-  EXPECT_EQ(misses(), 0) << "after drain";
-  EXPECT_EQ(fabric.total_objects(), static_cast<std::size_t>(kObjects));
 }
 
 }  // namespace

@@ -94,6 +94,29 @@ TEST(RpcFrame, RejectsBadMagicVersionAndOversizedBody) {
   // body_len above the configured ceiling is rejected pre-allocation.
   EXPECT_FALSE(decode_frame_header(wire, /*max_body=*/50).ok());
   EXPECT_TRUE(decode_frame_header(wire, /*max_body=*/100).ok());
+
+  // A v2 peer's 28-byte header (trailing u64 pool-map version): its
+  // first 20 bytes fail the version check, and an assembler fed the
+  // whole header poisons instead of misreading the tail as a frame.
+  EXPECT_EQ(kFrameHeaderBytes, 20u);
+  Bytes v2;
+  BufferWriter w(&v2);
+  w.put<std::uint32_t>(kFrameMagic);
+  w.put<std::uint8_t>(2);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(OpCode::kPing));
+  w.put<std::uint16_t>(0);
+  w.put<std::uint64_t>(1);
+  w.put<std::uint32_t>(0);
+  w.put<std::uint64_t>(7);
+  ASSERT_EQ(v2.size(), 28u);
+  EXPECT_FALSE(decode_frame_header(ByteSpan(v2.data(), kFrameHeaderBytes),
+                                   kDefaultMaxFrameBytes)
+                   .ok());
+  FrameAssembler fa;
+  MutableByteSpan span = fa.next_span();
+  std::memcpy(span.data(), v2.data(), v2.size());
+  EXPECT_FALSE(fa.advance(v2.size()).ok());
+  EXPECT_FALSE(fa.frame_ready());
 }
 
 TEST(RpcFrame, AssemblerHandlesArbitraryChunking) {
@@ -602,6 +625,19 @@ TEST(RpcServer, BackpressurePausesReadsAndResumes) {
             frames_before + kWave1 + kWave2);
 }
 
+TEST(RpcServer, StartRejectsZeroSegmentSize) {
+  // A zero segment cap makes the flush budget zero too, so the server
+  // would queue responses it never writes; start() refuses it unbound.
+  ServerOptions options;
+  options.port = 0;
+  options.max_segment_bytes = 0;
+  Server server(options);
+  Status st = server.start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
+  EXPECT_FALSE(server.running());
+  EXPECT_EQ(server.port(), 0u);
+}
+
 TEST(RpcServer, RejectsOversizedFrameWithoutCrashing) {
   ServerOptions options;
   options.max_frame_bytes = 4096;
@@ -622,144 +658,6 @@ TEST(RpcServer, RejectsOversizedFrameWithoutCrashing) {
   Client fresh(fx.client_options());
   EXPECT_TRUE(fresh.ping().ok());
   EXPECT_GE(fx.server.stats().protocol_errors, 1u);
-}
-
-// ---- stale pool-map redirects --------------------------------------------
-
-TEST(RpcMembership, StaleClientRedirectedAfterDrain) {
-  // A client holding map version v issues a get after the fabric
-  // drained a server to v+2: the server answers kNotMyShard with the
-  // new map attached, the client adopts it and the retried get
-  // succeeds — one visible call, >= 1 redirect underneath.
-  ServerFixture fx;
-  Client client(fx.client_options());
-
-  const VarId var = 31;
-  Bytes payload = pattern_bytes(1024, 9);
-  ASSERT_TRUE(
-      client.put(desc_of(var, 0), PayloadBuffer::copy_of(payload)).ok());
-  const std::uint64_t v0 = client.map_version();
-  EXPECT_EQ(v0, fx.server.fabric().map_version());
-  EXPECT_GT(v0, 0u);
-
-  // Drain bumps the map twice (DRAIN, then DOWN) behind the client's
-  // back; its entries migrate to the surviving servers.
-  ASSERT_TRUE(fx.server.fabric().drain_server(1).ok());
-  const std::uint64_t v1 = fx.server.fabric().map_version();
-  EXPECT_EQ(v1, v0 + 2);
-
-  auto got = client.get(desc_of(var, 0));
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->payload == payload);
-  EXPECT_GE(client.stats().stale_redirects, 1u);
-  EXPECT_EQ(client.map_version(), v1);
-
-  // Once converged, no further redirects.
-  const std::uint64_t redirects = client.stats().stale_redirects;
-  auto again = client.get(desc_of(var, 0));
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->payload == payload);
-  EXPECT_EQ(client.stats().stale_redirects, redirects);
-}
-
-TEST(RpcMembership, RefreshMapConvergesWithoutRedirect) {
-  ServerFixture fx;
-  Client client(fx.client_options());
-
-  ASSERT_TRUE(client.put(desc_of(32, 0),
-                         PayloadBuffer::copy_of(pattern_bytes(256, 4)))
-                  .ok());
-  ASSERT_TRUE(fx.server.fabric().drain_server(2).ok());
-
-  // Explicit refresh instead of bumping into the redirect: the fetched
-  // map matches the fabric's published version and the next data op
-  // goes straight through.
-  auto map = client.refresh_map();
-  ASSERT_TRUE(map.ok());
-  EXPECT_EQ(map->version(), fx.server.fabric().map_version());
-  EXPECT_EQ(client.map_version(), map->version());
-  auto got = client.get(desc_of(32, 0));
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(client.stats().stale_redirects, 0u);
-}
-
-TEST(RpcMembership, ConcurrentClientsSurviveDrain) {
-  // The concurrent-clients storm with a drain racing the ops on the
-  // loop threads: every client sees the version bump mid-stream, gets
-  // redirected once, and finishes byte-exact with no failed operations.
-  ServerFixture fx;
-
-  constexpr std::size_t kClients = 4;
-  constexpr int kOpsPerClient = 80;
-  std::atomic<std::uint64_t> failures{0};
-  std::atomic<std::uint64_t> redirects{0};
-  std::atomic<bool> drained{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (std::size_t t = 0; t < kClients; ++t) {
-    threads.emplace_back([&, t] {
-      Client client(fx.client_options());
-      const auto var = static_cast<VarId>(200 + t);
-      for (int op = 0; op < kOpsPerClient; ++op) {
-        if (t == 0 && op == kOpsPerClient / 2 &&
-            !drained.exchange(true)) {
-          // One drain mid-storm, from inside the traffic.
-          if (!fx.server.fabric().drain_server(3).ok()) {
-            failures.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        const int entity = op % 8;
-        Bytes payload = pattern_bytes(
-            512 + entity * 64, static_cast<std::uint8_t>(t * 37 + op));
-        if (!client.put(desc_of(var, entity),
-                        PayloadBuffer::copy_of(payload))
-                 .ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        auto got = client.get(desc_of(var, entity));
-        if (!got.ok() || !(got->payload == payload)) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      redirects.fetch_add(client.stats().stale_redirects,
-                          std::memory_order_relaxed);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0u);
-  // At least one client must have crossed the version bump.
-  EXPECT_GE(redirects.load(), 1u);
-  EXPECT_EQ(fx.server.fabric().map_version(),
-            fx.server.fabric().pool_map_copy().version());
-  // Post-drain reads of everything written: byte-exact under the final
-  // map, directly against the fabric.
-  for (std::size_t t = 0; t < kClients; ++t) {
-    Client reader(fx.client_options());
-    const auto var = static_cast<VarId>(200 + t);
-    for (int entity = 0; entity < 8; ++entity) {
-      auto got = reader.get(desc_of(var, entity));
-      EXPECT_TRUE(got.ok()) << "var " << var << " entity " << entity;
-    }
-    EXPECT_EQ(reader.stats().stale_redirects, 0u);
-  }
-}
-
-TEST(RpcMembership, StaleClientFailpointForcesRedirect) {
-  // member.map.stale_client forces the staleness check regardless of
-  // versions — the arm-once pattern proves the redirect path (decode
-  // map, adopt, retry) works even when the client was actually current.
-  ServerFixture fx;
-  Client client(fx.client_options());
-  ASSERT_TRUE(client.put(desc_of(33, 0),
-                         PayloadBuffer::copy_of(pattern_bytes(128, 2)))
-                  .ok());
-  failpoint::ScopedFailpoint fp(
-      "member.map.stale_client",
-      {failpoint::Action::kError, 1.0, /*max_hits=*/1});
-  auto got = client.get(desc_of(33, 0));
-  ASSERT_TRUE(got.ok());
-  EXPECT_GE(client.stats().stale_redirects, 1u);
 }
 
 TEST(RpcMultiLoop, ParityAcrossLoopCounts) {

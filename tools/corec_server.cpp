@@ -1,6 +1,6 @@
 // corec-server — the CoREC staging server binary. Fronts a
-// ThreadFabric, which places every object by HRW over its pool map,
-// with epoll RPC event loops that run each op on the connection's
+// ThreadFabric, whose server set is fixed at startup and which places
+// every object by rank-0 HRW over it, with epoll RPC event loops that run each op on the connection's
 // loop thread. Serves put/get/query/erase/stat to corec_client peers
 // until SIGINT/SIGTERM, then prints a final stats summary.
 //

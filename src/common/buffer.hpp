@@ -2,6 +2,7 @@
 // transport for message payloads and metadata records.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -220,11 +221,19 @@ class BufferWriter {
   /// length call this once up front instead of growing per-field.
   void reserve(std::size_t extra) { out_->reserve(out_->size() + extra); }
 
+  // Grows explicitly, then resizes within capacity and copies: a range
+  // insert() inlined into the encoders makes GCC 12 warn of a stringop
+  // overflow in Release builds (and a bare resize + memcpy of an array
+  // bounds one), since it cannot prove the grown storage is big enough.
   template <typename T>
   void put(T v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    out_->insert(out_->end(), p, p + sizeof(T));
+    const std::size_t at = out_->size();
+    if (out_->capacity() - at < sizeof(T)) {
+      out_->reserve(std::max<std::size_t>(2 * out_->capacity(), at + 64));
+    }
+    out_->resize(at + sizeof(T));
+    std::memcpy(out_->data() + at, &v, sizeof(T));
   }
 
   void put_bytes(ByteSpan data) {

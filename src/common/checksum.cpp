@@ -16,8 +16,6 @@ const Crc32cKernel& sse42_crc32c_kernel();
 
 namespace {
 
-constexpr std::uint32_t kPoly = 0x82f63b78u;  // reflected CRC32C
-
 // Slice-by-8 lookup tables: table[0] is the classic byte-at-a-time
 // table; table[j] folds a byte that sits j positions deeper into the
 // running CRC, letting the hot loop consume 8 bytes per iteration with
@@ -31,7 +29,7 @@ Tables make_tables() {
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) ? (crc >> 1) ^ kPoly : crc >> 1;
+      crc = (crc & 1u) ? (crc >> 1) ^ kCrc32cPoly : crc >> 1;
     }
     tb.t[0][i] = crc;
   }
@@ -135,6 +133,14 @@ std::uint32_t crc32c(const std::uint8_t* data, std::size_t len,
 std::uint32_t crc32c_copy(std::uint8_t* dst, const std::uint8_t* src,
                           std::size_t len, std::uint32_t seed) {
   return detail::crc32c_selected_kernel().copy(dst, src, len, seed);
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::size_t len_b) {
+  // crc(A || B) = crc(A) * x^(8|B|) mod P  xor  crc(B): the inversions
+  // crc32c() applies on entry and exit cancel in the xor.
+  const std::uint32_t shift = detail::x_pow_mod_p(8 * std::uint64_t{len_b});
+  return detail::mul_mod_p(shift, crc_a) ^ crc_b;
 }
 
 const char* crc32c_kernel_name() {

@@ -29,6 +29,13 @@ inline std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0) {
 std::uint32_t crc32c_copy(std::uint8_t* dst, const std::uint8_t* src,
                           std::size_t len, std::uint32_t seed = 0);
 
+/// CRC32C of A || B from crc32c(A), crc32c(B) and |B| (zlib's
+/// crc32_combine). The relation is an xor, so it also strips a prefix:
+/// crc32c_combine(crc32c(A), crc32c(A || B), |B|) == crc32c(B).
+/// Costs O(log |B|) polynomial products, independent of the bytes.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::size_t len_b);
+
 /// Name of the kernel crc32c() and crc32c_copy() run: "portable" or
 /// "sse42".
 const char* crc32c_kernel_name();

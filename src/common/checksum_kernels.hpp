@@ -13,6 +13,31 @@
 
 namespace corec::detail {
 
+inline constexpr std::uint32_t kCrc32cPoly = 0x82f63b78u;  // reflected
+
+// Polynomial arithmetic mod P, shared by the SSE4.2 kernel's lane folds
+// and crc32c_combine(). Polynomials are held in the reflected order the
+// CRC register uses: bit 31 holds the x^0 coefficient, bit 0 holds x^31.
+constexpr std::uint32_t mul_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (int i = 0; i < 32; ++i) {
+    if (a & (0x80000000u >> i)) product ^= b;  // a has an x^i term
+    b = (b & 1u) ? (b >> 1) ^ kCrc32cPoly : b >> 1;  // b *= x
+  }
+  return product;
+}
+
+/// x^n mod P, by square-and-multiply.
+constexpr std::uint32_t x_pow_mod_p(std::uint64_t n) {
+  std::uint32_t result = 0x80000000u;  // 1
+  std::uint32_t square = 0x40000000u;  // x
+  for (; n != 0; n >>= 1) {
+    if (n & 1u) result = mul_mod_p(result, square);
+    square = mul_mod_p(square, square);
+  }
+  return result;
+}
+
 using Crc32cFn = std::uint32_t (*)(const std::uint8_t* data,
                                    std::size_t len, std::uint32_t seed);
 

@@ -28,7 +28,8 @@ enum class Action : std::uint8_t {
   kError,         // fail the operation with a Status error / drop it
   kDelay,         // add `arg` ns of virtual latency (0 = site default)
   kPartialWrite,  // truncate the write, keeping `arg` bytes (0 = half)
-  kBitFlip,       // corrupt stored bytes; `rng` picks the offset
+  kBitFlip,       // corrupt bytes; `rng` picks the offset (rpc.client.send:
+                  // a nonzero `arg` pins it at arg - 1)
   kCrashServer,   // kill the server the site is operating on
 };
 

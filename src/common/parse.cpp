@@ -10,7 +10,11 @@ namespace corec {
 namespace {
 
 Status rejected(std::string_view text, const std::string& why) {
-  return Status::InvalidArgument("'" + std::string(text) + "' " + why);
+  // Appended piecewise: GCC 12's -Wrestrict misfires on a string
+  // literal + std::string temporary in Release builds.
+  std::string msg = "'";
+  msg.append(text).append("' ").append(why);
+  return Status::InvalidArgument(msg);
 }
 
 /// from_chars over the whole of `text`; rejects empty input, trailing

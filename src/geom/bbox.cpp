@@ -158,7 +158,12 @@ void BoundingBox::subtract(const BoundingBox& cut,
 }
 
 std::string BoundingBox::to_string() const {
-  return "{" + lo_.to_string() + "," + hi_.to_string() + "}";
+  // Appended piecewise: GCC 12's -Wrestrict misfires on a string
+  // literal + std::string temporary in Release builds.
+  std::string out = "{";
+  out.append(lo_.to_string()).append(",").append(hi_.to_string());
+  out.append("}");
+  return out;
 }
 
 std::uint64_t linear_offset(const BoundingBox& box, const Point& p) {

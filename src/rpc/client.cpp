@@ -96,9 +96,15 @@ Status Client::call_once(Channel& ch, OpCode op, std::uint64_t request_id,
     if (!body.empty()) {
       // Wire corruption: ship a copy with one bit flipped after the CRC
       // in the request was taken. The server's ingest check must answer
-      // DATA_LOSS and store nothing.
+      // DATA_LOSS and store nothing. A nonzero `arg` pins the flipped
+      // payload byte at arg - 1 (clamped to the last byte); 0 draws it
+      // at random.
       flipped.assign(body.begin(), body.end());
-      flipped[hit.rng % flipped.size()] ^= 0x40;
+      const std::size_t at =
+          hit.arg == 0 ? hit.rng % flipped.size()
+                       : std::min<std::size_t>(hit.arg - 1,
+                                               flipped.size() - 1);
+      flipped[at] ^= 0x40;
       body = flipped;
     }
   }

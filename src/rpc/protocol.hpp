@@ -4,12 +4,12 @@
 // not a second serialization scheme.
 //
 // Put and get bodies keep the payload as the *trailing* section of the
-// frame body, after a fixed-order metadata prefix. That layout is what
-// makes the data path zero-copy: the receiver decodes the prefix with a
-// BufferReader and then slice()s the payload straight out of the frame
-// body's refcounted backing store — the bytes the socket was read into
-// are the bytes the store keeps (server put) or the caller sees (client
-// get).
+// frame body, after a fixed-order metadata prefix. The receiver decodes
+// the prefix with a BufferReader and then slice()s the payload straight
+// out of the frame body's refcounted backing store: a client's get
+// result is the bytes the socket was read into, and the server copies
+// a put payload out of that slice only in the pass that verifies its
+// CRC (see server.hpp).
 #pragma once
 
 #include <cstdint>

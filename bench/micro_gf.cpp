@@ -5,12 +5,13 @@
 // their copy-with-CRC forms next to a plain memcpy.
 //
 // Benchmarks are registered once per kernel this build/CPU can run
-// (GF: portable/ssse3/avx2; CRC32C: portable/sse42), so one run
+// (GF: portable/ssse3/avx2; CRC32C: portable/sse42/vpclmul), so one run
 // reports the scalar baseline next to the SIMD kernels.
 // `--benchmark_format=json` (or tools/bench_gf_json.sh) emits the
 // machine-readable form tracked in BENCH_gf.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -82,13 +83,34 @@ void BM_RegionMulMulti(benchmark::State& state, const Kernels* kernels) {
                           static_cast<std::int64_t>(n * kSources));
 }
 
-void BM_Crc32c(benchmark::State& state, const Crc32cKernel* kernel) {
+/// Slices of `n` bytes walked through a `set`-byte buffer, so that with
+/// a set far larger than the caches every pass reads from DRAM. With
+/// set <= n every pass reads the same, cache-hot bytes.
+struct Walk {
+  Walk(std::size_t n, std::size_t set)
+      : n(n), buf(make_buf(std::max(n, set), 5)) {}
+  std::uint8_t* slice() { return buf.data() + at; }
+  /// The slice half the buffer ahead of slice() (a cold destination).
+  std::uint8_t* far_slice() {
+    return buf.data() + (at + buf.size() / 2) % buf.size();
+  }
+  bool cold() const { return buf.size() > n; }
+  void next() { at = at + 2 * n <= buf.size() ? at + n : 0; }
+
+  std::size_t n;
+  std::vector<std::uint8_t> buf;
+  std::size_t at = 0;
+};
+
+void BM_Crc32c(benchmark::State& state, const Crc32cKernel* kernel,
+               std::size_t set) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto buf = make_buf(n, 5);
+  Walk walk(n, set);
   std::uint32_t crc = 0;
   for (auto _ : state) {
-    crc = kernel->fn(buf.data(), n, crc);
+    crc = kernel->fn(walk.slice(), n, crc);
     benchmark::DoNotOptimize(crc);
+    walk.next();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -108,16 +130,20 @@ void BM_Memcpy(benchmark::State& state) {
 }
 
 /// The put's ingest pass: copy into a fresh store and checksum it,
-/// reading the source once.
-void BM_Crc32cCopy(benchmark::State& state, const Crc32cKernel* kernel) {
+/// reading the source once. The cold case copies each slice to another
+/// cold slice of the same buffer.
+void BM_Crc32cCopy(benchmark::State& state, const Crc32cKernel* kernel,
+                   std::size_t set) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto src = make_buf(n, 5);
-  std::vector<std::uint8_t> dst(n);
+  Walk walk(n, set);
+  std::vector<std::uint8_t> hot_dst(walk.cold() ? 0 : n);
   std::uint32_t crc = 0;
   for (auto _ : state) {
-    crc = kernel->copy(dst.data(), src.data(), n, crc);
+    std::uint8_t* dst = walk.cold() ? walk.far_slice() : hot_dst.data();
+    crc = kernel->copy(dst, walk.slice(), n, crc);
     benchmark::DoNotOptimize(crc);
     benchmark::ClobberMemory();
+    walk.next();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -161,17 +187,26 @@ void register_region_benchmarks() {
       ->Arg(4096)
       ->Arg(32768)
       ->Arg(2097152);
+  // The cold case walks a serve_bulk put through 256 MiB: the
+  // DRAM-bound rate next to the in-cache one.
+  constexpr std::size_t kColdSet = std::size_t{256} << 20;
   for (const Crc32cKernel* k : corec::detail::crc32c_available_kernels()) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_Crc32c/") + k->name).c_str(), BM_Crc32c, k)
+    const std::string crc = std::string("BM_Crc32c/") + k->name;
+    const std::string copy = std::string("BM_Crc32cCopy/") + k->name;
+    benchmark::RegisterBenchmark(crc.c_str(), BM_Crc32c, k, 0)
+        ->Arg(4096)
+        ->Arg(32768)
+        ->Arg(262144)
+        ->Arg(2097152);
+    benchmark::RegisterBenchmark((crc + "/cold").c_str(), BM_Crc32c, k,
+                                 kColdSet)
+        ->Arg(2097152);
+    benchmark::RegisterBenchmark(copy.c_str(), BM_Crc32cCopy, k, 0)
         ->Arg(4096)
         ->Arg(32768)
         ->Arg(2097152);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_Crc32cCopy/") + k->name).c_str(), BM_Crc32cCopy,
-        k)
-        ->Arg(4096)
-        ->Arg(32768)
+    benchmark::RegisterBenchmark((copy + "/cold").c_str(), BM_Crc32cCopy, k,
+                                 kColdSet)
         ->Arg(2097152);
   }
 }

@@ -2,16 +2,23 @@
 
 #include <cstring>
 
+#if COREC_CRC_HAVE_VPCLMUL
+#include <cpuid.h>
+#endif
+
 #include "common/checksum_kernels.hpp"
 
 namespace corec {
 namespace detail {
 
-// Defined in checksum_sse42.cpp when the build compiles it (per-file
-// -msse4.2; see src/common/CMakeLists.txt). Only ever called after a
-// CPUID check.
+// Defined in checksum_sse42.cpp and checksum_vpclmul.cpp when the build
+// compiles them (see src/common/CMakeLists.txt). Only ever called after
+// a CPUID check.
 #if COREC_CRC_HAVE_SSE42
 const Crc32cKernel& sse42_crc32c_kernel();
+#endif
+#if COREC_CRC_HAVE_VPCLMUL
+const Crc32cKernel& vpclmul_crc32c_kernel();
 #endif
 
 namespace {
@@ -89,6 +96,30 @@ bool cpu_has_sse42() {
 #endif
 }
 
+#if COREC_CRC_HAVE_VPCLMUL
+/// SSE4.2, AVX512F and VPCLMULQDQ in CPUID, and an OS that saves the
+/// opmask and full zmm registers on a context switch (XCR0 bits 1, 2
+/// and 5-7).
+bool cpu_has_vpclmul() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || !(ecx & bit_OSXSAVE) ||
+      !(ecx & bit_SSE4_2)) {
+    return false;
+  }
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) ||
+      !(ebx & bit_AVX512F) || !(ecx & bit_VPCLMULQDQ)) {
+    return false;
+  }
+  std::uint32_t xcr0 = 0, xcr0_hi = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+  return (xcr0 & 0xe6u) == 0xe6u;
+}
+#endif
+
+// Hardware kernels, slowest first; the dispatcher takes the last one
+// the CPU runs.
+constexpr const char* kHardwareKernels[] = {"sse42", "vpclmul"};
+
 }  // namespace
 
 const Crc32cKernel* crc32c_kernel_by_name(std::string_view name) {
@@ -96,31 +127,37 @@ const Crc32cKernel* crc32c_kernel_by_name(std::string_view name) {
 #if COREC_CRC_HAVE_SSE42
   if (name == "sse42" && cpu_has_sse42()) return &sse42_crc32c_kernel();
 #endif
+#if COREC_CRC_HAVE_VPCLMUL
+  if (name == "vpclmul" && cpu_has_vpclmul()) return &vpclmul_crc32c_kernel();
+#endif
   return nullptr;
 }
 
 std::vector<const Crc32cKernel*> crc32c_available_kernels() {
   std::vector<const Crc32cKernel*> out{&kPortableKernel};
-  if (const Crc32cKernel* hw = crc32c_kernel_by_name("sse42")) {
-    out.push_back(hw);
+  for (const char* name : kHardwareKernels) {
+    if (const Crc32cKernel* hw = crc32c_kernel_by_name(name)) {
+      out.push_back(hw);
+    }
   }
   return out;
 }
 
 const Crc32cKernel& crc32c_selected_kernel() {
-  static const Crc32cKernel* const selected = [] {
-    const Crc32cKernel* hw = crc32c_kernel_by_name("sse42");
-    return hw != nullptr ? hw : &kPortableKernel;
-  }();
+  static const Crc32cKernel* const selected =
+      crc32c_available_kernels().back();
   return *selected;
 }
 
-bool crc32c_sse42_compiled() {
+bool crc32c_kernel_compiled(std::string_view name) {
+  if (name == "portable") return true;
 #if COREC_CRC_HAVE_SSE42
-  return true;
-#else
-  return false;
+  if (name == "sse42") return true;
 #endif
+#if COREC_CRC_HAVE_VPCLMUL
+  if (name == "vpclmul") return true;
+#endif
+  return false;
 }
 
 }  // namespace detail

@@ -1,9 +1,12 @@
 // CRC32C kernel table behind corec::crc32c(). The dispatcher picks the
-// SSE4.2 kernel (hardware CRC32 instruction, three interleaved streams)
-// when the build compiled it and CPUID reports SSE4.2, and the portable
-// slice-by-8 loop otherwise. Both compute the same function bit for
-// bit, and each has a copying form behind corec::crc32c_copy(); tests
-// and benchmarks reach each kernel directly through here.
+// best kernel the build compiled and CPUID reports support for:
+//   vpclmul  - AVX-512 carry-less multiplies folding 256 B per step
+//              (AVX512F, VPCLMULQDQ, SSE4.2, zmm state enabled by the OS);
+//   sse42    - the hardware CRC32 instruction, three interleaved streams;
+//   portable - the slice-by-8 table loop.
+// All compute the same function bit for bit, and each has a copying
+// form behind corec::crc32c_copy(); tests and benchmarks reach each
+// kernel directly through here.
 #pragma once
 
 #include <cstddef>
@@ -15,9 +18,10 @@ namespace corec::detail {
 
 inline constexpr std::uint32_t kCrc32cPoly = 0x82f63b78u;  // reflected
 
-// Polynomial arithmetic mod P, shared by the SSE4.2 kernel's lane folds
-// and crc32c_combine(). Polynomials are held in the reflected order the
-// CRC register uses: bit 31 holds the x^0 coefficient, bit 0 holds x^31.
+// Polynomial arithmetic mod P, shared by the SSE4.2 kernel's lane folds,
+// the VPCLMULQDQ kernel's fold constants and crc32c_combine().
+// Polynomials are held in the reflected order the CRC register uses:
+// bit 31 holds the x^0 coefficient, bit 0 holds x^31.
 constexpr std::uint32_t mul_mod_p(std::uint32_t a, std::uint32_t b) {
   std::uint32_t product = 0;
   for (int i = 0; i < 32; ++i) {
@@ -46,7 +50,7 @@ using Crc32cCopyFn = std::uint32_t (*)(std::uint8_t* dst,
                                        std::size_t len, std::uint32_t seed);
 
 struct Crc32cKernel {
-  const char* name;   // "portable" or "sse42"
+  const char* name;   // "portable", "sse42" or "vpclmul"
   Crc32cFn fn;        // same contract as corec::crc32c
   Crc32cCopyFn copy;  // same contract as corec::crc32c_copy
 };
@@ -58,11 +62,13 @@ const Crc32cKernel& crc32c_selected_kernel();
 /// this build or not supported by the running CPU.
 const Crc32cKernel* crc32c_kernel_by_name(std::string_view name);
 
-/// Every kernel this build can run on this CPU, portable first.
+/// Every kernel this build can run on this CPU, slowest (portable)
+/// first; the last is the one crc32c() dispatches to.
 std::vector<const Crc32cKernel*> crc32c_available_kernels();
 
-/// True when the build compiled the SSE4.2 kernel (x86 with a compiler
-/// that accepts -msse4.2), whatever the running CPU supports.
-bool crc32c_sse42_compiled();
+/// True when the build compiled the named kernel ("sse42": x86 with a
+/// compiler that accepts -msse4.2; "vpclmul": x86-64 with a compiler
+/// that accepts AVX-512 VPCLMULQDQ), whatever the running CPU supports.
+bool crc32c_kernel_compiled(std::string_view name);
 
 }  // namespace corec::detail

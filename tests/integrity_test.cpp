@@ -84,12 +84,31 @@ const Crc32cKernel& portable_kernel() {
   return *detail::crc32c_kernel_by_name("portable");
 }
 
+// Lengths at the kernels' block edges: the SSE4.2 kernel's 3 x 8 KiB
+// and 3 x 256 B interleaved blocks; the VPCLMULQDQ kernel's 512 B
+// minimum, 256 B folds and 64 B tail steps, 256 * k +- 1 up to 3 MiB
+// and 3 MiB plus an odd tail.
+std::vector<std::size_t> block_edge_lengths() {
+  std::vector<std::size_t> out = {511, 512, 513, 3 * 8192 - 1, 3 * 8192,
+                                  3 * 8192 + 1, 2 * 3 * 8192 + 3 * 256 + 7};
+  for (std::size_t k : {3, 4, 5, 7, 9, 64, 1024, 4096, 8192, 12288}) {
+    out.insert(out.end(), {256 * k - 1, 256 * k, 256 * k + 1});
+  }
+  out.push_back((3u << 20) + 191);
+  return out;
+}
+
+constexpr std::size_t kMaxEdgeLength = (3u << 20) + 191;
+
+// Source alignments: the VPCLMULQDQ kernel aligns its loads to 64 B.
+constexpr std::size_t kEdgeAligns[] = {0, 1, 7, 8, 13, 32, 63};
+
 TEST(Crc32c, EveryKernelMatchesPortableAtEveryAlignmentAndLength) {
   constexpr std::size_t kMaxLen = 1024;
-  const Bytes buf = random_bytes(kMaxLen + 16, 1);
+  const Bytes buf = random_bytes(kMaxLen + 64, 1);
   const Crc32cKernel& ref = portable_kernel();
   for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
-    for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t align = 0; align < 64; ++align) {
       const std::uint8_t* p = buf.data() + align;
       for (std::size_t len = 0; len <= kMaxLen; ++len) {
         const std::uint32_t seed = static_cast<std::uint32_t>(len * align);
@@ -100,17 +119,12 @@ TEST(Crc32c, EveryKernelMatchesPortableAtEveryAlignmentAndLength) {
   }
 }
 
-TEST(Crc32c, EveryKernelMatchesPortableAtLaneBoundaries) {
-  // Lengths straddling the hardware kernel's 3 x 8 KiB and 3 x 256 B
-  // interleaved blocks, plus one long odd-length buffer.
-  const std::vector<std::size_t> lengths = {
-      3 * 8192 - 1, 3 * 8192, 3 * 8192 + 1, 3 * 256 - 1, 3 * 256,
-      3 * 256 + 1,  2 * 3 * 8192 + 3 * 256 + 7, (1u << 20) + 7};
-  const Bytes buf = random_bytes((1u << 20) + 32, 2);
+TEST(Crc32c, EveryKernelMatchesPortableAtBlockEdges) {
+  const Bytes buf = random_bytes(kMaxEdgeLength + 64, 2);
   const Crc32cKernel& ref = portable_kernel();
   for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
-    for (std::size_t len : lengths) {
-      for (std::size_t align : {0, 1, 7, 8, 13}) {
+    for (std::size_t len : block_edge_lengths()) {
+      for (std::size_t align : kEdgeAligns) {
         const std::uint8_t* p = buf.data() + align;
         ASSERT_EQ(k->fn(p, len, 0), ref.fn(p, len, 0))
             << k->name << " align " << align << " len " << len;
@@ -123,34 +137,32 @@ TEST(Crc32c, EveryKernelMatchesPortableAtLaneBoundaries) {
 
 TEST(Crc32c, CopyKernelsMatchMemcpyPlusCrc) {
   // Every kernel's copying form must write exactly memcpy's bytes and
-  // return exactly crc32c's tag: at every source alignment 0-15 and
+  // return exactly crc32c's tag: at every source alignment 0-63 and
   // length 0-1024 against a destination offset that differs from the
-  // source's, at the lane boundaries, and chained through seeds.
-  const Bytes src = random_bytes((1u << 20) + 64, 5);
+  // source's, at the block edges, and chained through seeds.
+  const Bytes src = random_bytes(kMaxEdgeLength + 64, 5);
   const Crc32cKernel& ref = portable_kernel();
   auto check = [&](const Crc32cKernel& k, std::size_t align,
                    std::size_t len, std::uint32_t seed) {
-    Bytes dst(len + 32, 0xEE);
+    Bytes dst(len + 128, 0xEE);
     Bytes expect = dst;
     const std::uint8_t* p = src.data() + align;
-    const std::size_t out = (align * 5 + 3) % 16;
+    const std::size_t out = (align * 5 + 3) % 64;
     std::memcpy(expect.data() + out, p, len);
     ASSERT_EQ(k.copy(dst.data() + out, p, len, seed), ref.fn(p, len, seed))
         << k.name << " align " << align << " len " << len;
     ASSERT_EQ(dst, expect) << k.name << " align " << align << " len " << len;
   };
   for (const Crc32cKernel* k : detail::crc32c_available_kernels()) {
-    for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t align = 0; align < 64; ++align) {
       for (std::size_t len = 0; len <= 1024; ++len) {
         check(*k, align, len, static_cast<std::uint32_t>(len * align));
       }
     }
-    for (std::size_t len : {3 * 8192 - 1, 3 * 8192, 3 * 8192 + 1,
-                            3 * 256 - 1, 3 * 256, 3 * 256 + 1,
-                            (1 << 20) + 7}) {
-      for (std::size_t align : {0, 1, 7, 8, 13}) {
-        check(*k, align, static_cast<std::size_t>(len), 0);
-        check(*k, align, static_cast<std::size_t>(len), 0xdeadbeefu);
+    for (std::size_t len : block_edge_lengths()) {
+      for (std::size_t align : kEdgeAligns) {
+        check(*k, align, len, 0);
+        check(*k, align, len, 0xdeadbeefu);
       }
     }
     // Seed chaining: copying a payload in pieces tags it as one pass.
@@ -247,16 +259,27 @@ TEST(Crc32c, Rfc3720Vectors) {
 
 TEST(Crc32c, DispatchPicksHardwareKernelWhenAvailable) {
   bool cpu_has_sse42 = false;
+  bool cpu_has_vpclmul = false;
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
   cpu_has_sse42 = __builtin_cpu_supports("sse4.2");
+  cpu_has_vpclmul = cpu_has_sse42 && __builtin_cpu_supports("avx512f") &&
+                    __builtin_cpu_supports("vpclmulqdq");
 #endif
-  const bool want_hw = detail::crc32c_sse42_compiled() && cpu_has_sse42;
-  const char* expected = want_hw ? "sse42" : "portable";
+  const bool want_sse42 =
+      detail::crc32c_kernel_compiled("sse42") && cpu_has_sse42;
+  const bool want_vpclmul =
+      detail::crc32c_kernel_compiled("vpclmul") && cpu_has_vpclmul;
+  const char* expected = want_vpclmul ? "vpclmul"
+                         : want_sse42 ? "sse42"
+                                      : "portable";
   EXPECT_STREQ(detail::crc32c_selected_kernel().name, expected);
   EXPECT_STREQ(crc32c_kernel_name(), expected);
-  EXPECT_EQ(detail::crc32c_kernel_by_name("sse42") != nullptr, want_hw);
-  EXPECT_EQ(detail::crc32c_available_kernels().size(), want_hw ? 2u : 1u);
+  EXPECT_EQ(detail::crc32c_kernel_by_name("sse42") != nullptr, want_sse42);
+  EXPECT_EQ(detail::crc32c_kernel_by_name("vpclmul") != nullptr,
+            want_vpclmul);
+  EXPECT_EQ(detail::crc32c_available_kernels().size(),
+            1u + want_sse42 + want_vpclmul);
 }
 
 // ---- property: all erasure combinations within tolerance -----------------

@@ -3,12 +3,15 @@
 # ephemeral loopback port, then drives it with the multi-process
 # open-loop load generator (micro_rpc) for four op mixes — put-heavy,
 # get-heavy and 50/50 at BENCH_RPC_BYTES, plus 2 MiB puts (the large-body
-# ingest-CRC path) — at 4 client processes each. Each mix runs 3 times;
+# ingest-CRC path). The op mixes are sized from nproc so that client
+# processes plus server event loops do not oversubscribe the host: half
+# the CPUs drive load and the rest serve it (one of each on a single
+# CPU); the record's host object names that shape. Each mix runs 3 times;
 # the record keeps every run and the median, min and max of its
 # throughput and p50/p95/p99 latency over TCP, so a PR-over-PR
 # difference can be read against the spread of one host. The record
 # also names the host shape: nproc, CPU model, build type, CRC32C
-# kernel and git revision.
+# kernel, git revision and the op-mix clients and server loops.
 #
 # A second phase sweeps the C10k plane: connection counts 64..4096,
 # single-loop vs multi-loop servers, pipelined clients (depth 8 per
@@ -26,7 +29,10 @@
 # Usage: bench_rpc_json.sh <micro_rpc-binary> <corec-server-binary> [out.json]
 #
 # Env knobs:
-#   BENCH_RPC_CLIENTS / _SECONDS / _BYTES      op-mix phase shape
+#   BENCH_RPC_CLIENTS      client processes (default: nproc / 2 for the
+#                          op mixes, which then get nproc - clients server
+#                          loops; 4 for the C10k sweep)
+#   BENCH_RPC_SECONDS / _BYTES      op-mix phase shape
 #   BENCH_RPC_C10K_CONNS   sweep connection counts (default "64 256 1024 4096")
 #   BENCH_RPC_C10K_LOOPS   sweep loop counts      (default "1 4")
 #   BENCH_RPC_C10K_PIPELINE  outstanding requests per connection (default 8)
@@ -45,7 +51,6 @@ MICRO_RPC=${1:?usage: bench_rpc_json.sh micro_rpc corec-server [out.json]}
 SERVER=${2:?usage: bench_rpc_json.sh micro_rpc corec-server [out.json]}
 OUT=${3:-BENCH_rpc.json}
 
-CLIENTS=${BENCH_RPC_CLIENTS:-4}
 SECONDS_PER_MIX=${BENCH_RPC_SECONDS:-2}
 VALUE_BYTES=${BENCH_RPC_BYTES:-4096}
 REPEATS=3
@@ -59,6 +64,10 @@ RECV_PF_MAX=${BENCH_RPC_RECV_PF_MAX:-1.0}
 POOL_MISS_PF_MAX=${BENCH_RPC_POOL_MISS_PF_MAX:-0.1}
 
 NPROC=$(nproc 2>/dev/null || echo 1)
+# Op mixes: half the CPUs run client processes, the rest server loops.
+MIX_CLIENTS=${BENCH_RPC_CLIENTS:-$((NPROC / 2 > 0 ? NPROC / 2 : 1))}
+MIX_LOOPS=$((NPROC - MIX_CLIENTS > 0 ? NPROC - MIX_CLIENTS : 1))
+CLIENTS=${BENCH_RPC_CLIENTS:-4}
 if [ "$NPROC" -le 1 ]; then
   P99_FACTOR=${BENCH_RPC_C10K_P99_FACTOR:-2.0}
   echo "note: single-core host; multi-loop sharding cannot run in" \
@@ -150,10 +159,10 @@ for MIX in put get mixed put_2mib; do
     *) OP=$MIX BYTES=$VALUE_BYTES ;;
   esac
   for REP in $(seq 1 "$REPEATS"); do
-    start_server "$TMPDIR_JSON/server.log"
-    echo "running mix=$MIX run=$REP/$REPEATS clients=$CLIENTS" \
-      "seconds=$SECONDS_PER_MIX (port $PORT) ..."
-    "$MICRO_RPC" --port "$PORT" --clients "$CLIENTS" \
+    start_server "$TMPDIR_JSON/server.log" --loops "$MIX_LOOPS"
+    echo "running mix=$MIX run=$REP/$REPEATS clients=$MIX_CLIENTS" \
+      "loops=$MIX_LOOPS seconds=$SECONDS_PER_MIX (port $PORT) ..."
+    "$MICRO_RPC" --port "$PORT" --clients "$MIX_CLIENTS" \
       --seconds "$SECONDS_PER_MIX" --bytes "$BYTES" --mix "$OP" \
       > "$TMPDIR_JSON/${MIX}_$REP.json"
     stop_server "$TMPDIR_JSON/server.log"
@@ -260,9 +269,9 @@ fi
 {
   printf '{\n"bench": "rpc_loopback",\n'
   printf '"transport": "tcp length-prefixed frames, 4 server shards",\n'
-  printf '"host": {"nproc": %s, "cpu": "%s", "build_type": "%s", "crc_kernel": "%s", "git_rev": "%s"},\n' \
+  printf '"host": {"nproc": %s, "cpu": "%s", "build_type": "%s", "crc_kernel": "%s", "git_rev": "%s", "mix_clients": %s, "mix_server_loops": %s},\n' \
     "$NPROC" "${CPU_MODEL:-unknown}" "${BUILD_TYPE:-unset}" \
-    "${CRC_KERNEL:-unknown}" "$GIT_REV"
+    "${CRC_KERNEL:-unknown}" "$GIT_REV" "$MIX_CLIENTS" "$MIX_LOOPS"
   printf '"put": %s,\n' "$(summarize put)"
   printf '"get": %s,\n' "$(summarize get)"
   printf '"mixed": %s,\n' "$(summarize mixed)"

@@ -84,6 +84,8 @@ const Crc32cKernel& portable_kernel() {
   return *detail::crc32c_kernel_by_name("portable");
 }
 
+constexpr std::size_t kMaxEdgeLength = (3u << 20) + 191;
+
 // Lengths at the kernels' block edges: the SSE4.2 kernel's 3 x 8 KiB
 // and 3 x 256 B interleaved blocks; the VPCLMULQDQ kernel's 512 B
 // minimum, 256 B folds and 64 B tail steps, 256 * k +- 1 up to 3 MiB
@@ -94,11 +96,9 @@ std::vector<std::size_t> block_edge_lengths() {
   for (std::size_t k : {3, 4, 5, 7, 9, 64, 1024, 4096, 8192, 12288}) {
     out.insert(out.end(), {256 * k - 1, 256 * k, 256 * k + 1});
   }
-  out.push_back((3u << 20) + 191);
+  out.push_back(kMaxEdgeLength);
   return out;
 }
-
-constexpr std::size_t kMaxEdgeLength = (3u << 20) + 191;
 
 // Source alignments: the VPCLMULQDQ kernel aligns its loads to 64 B.
 constexpr std::size_t kEdgeAligns[] = {0, 1, 7, 8, 13, 32, 63};
